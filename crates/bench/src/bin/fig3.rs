@@ -44,11 +44,23 @@ fn main() {
             kind: ModelKind::ManyToOne,
         };
         let baseline = bpar_time(&cfg, batch, 1, 1, Phase::Training);
+        // mbs outer, cores inner: each graph is built once and replayed
+        // on every core count (see `bpar_time`).
+        let times: Vec<Vec<f64>> = mbs_axis
+            .iter()
+            .map(|&mbs| {
+                eprint!(".");
+                cores_axis
+                    .iter()
+                    .map(|&cores| bpar_time(&cfg, batch, cores, mbs, Phase::Training))
+                    .collect()
+            })
+            .collect();
         let mut rows = Vec::new();
-        for &cores in &cores_axis {
+        for (ci, &cores) in cores_axis.iter().enumerate() {
             let mut row = vec![cores.to_string()];
-            for &mbs in &mbs_axis {
-                let t = bpar_time(&cfg, batch, cores, mbs, Phase::Training);
+            for (mi, &mbs) in mbs_axis.iter().enumerate() {
+                let t = times[mi][ci];
                 row.push(format!("{:.2}", baseline / t));
                 points.push(Fig3Point {
                     layers,
@@ -59,7 +71,6 @@ fn main() {
                 });
             }
             rows.push(row);
-            eprint!(".");
         }
         eprintln!();
         print_table(

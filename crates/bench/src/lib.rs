@@ -36,7 +36,9 @@ use bpar_runtime::graph::TaskGraph;
 use bpar_runtime::SchedulerPolicy;
 use bpar_sim::{simulate, SimConfig, SimResult};
 use serde::Serialize;
+use std::cell::RefCell;
 use std::path::PathBuf;
+use std::rc::Rc;
 
 pub use bpar_baselines::{CpuFramework, GpuFramework, Phase};
 
@@ -117,8 +119,26 @@ pub fn bpar_result(
     if phase == Phase::Inference {
         spec.phase = GraphPhase::Inference;
     }
-    let g = build_graph(&spec);
-    simulate(&g, &SimConfig::xeon(cores).with_policy(policy))
+    simulate(&graph(&spec), &SimConfig::xeon(cores).with_policy(policy))
+}
+
+/// The task graph for `spec`. The last graph built is kept, so a sweep
+/// over core counts — or over the equal-sized chunks of a B-Seq graph —
+/// builds each distinct graph once.
+fn graph(spec: &GraphSpec) -> Rc<TaskGraph> {
+    thread_local! {
+        static LAST: RefCell<Option<(GraphSpec, Rc<TaskGraph>)>> = const { RefCell::new(None) };
+    }
+    LAST.with_borrow_mut(|last| {
+        if let Some((_, g)) = last.as_ref().filter(|(s, _)| s == spec) {
+            return g.clone();
+        }
+        // Free the previous graph before building its successor.
+        *last = None;
+        let g = Rc::new(build_graph(spec));
+        *last = Some((*spec, g.clone()));
+        g
+    })
 }
 
 /// Best simulated B-Par time over the paper's mbs sweep {1,2,4,6,8,10,12}
@@ -143,7 +163,7 @@ pub fn bseq_graph(cfg: &BrnnConfig, batch: usize, mbs: usize, phase: Phase) -> T
         if phase == Phase::Inference {
             spec.phase = GraphPhase::Inference;
         }
-        let sub = build_graph(&spec);
+        let sub = graph(&spec);
         // Chain the replica's tasks in creation (i.e. sequential
         // execution) order.
         let mut prev: Option<usize> = None;

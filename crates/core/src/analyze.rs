@@ -7,9 +7,10 @@
 //! BRNNs; this module supplies the subjects. For one model configuration
 //! it:
 //!
-//! 1. compiles the live executor's [`ExecPlan`] and lints both that plan
-//!    and the simulator's [`crate::graphgen::build_graph`] twin, checking
-//!    both against the closed-form shape;
+//! 1. compiles the live executor's [`ExecPlan`], lints it and checks it
+//!    against the closed-form shape (the simulator's
+//!    [`crate::graphgen::build_graph`] runs the same submission driver, so
+//!    this also covers the simulated graph);
 //! 2. replays the plan once on a single-worker FIFO runtime with the
 //!    access recorder and lock witness installed, then
 //!    * diffs every task's *observed* region accesses against its
@@ -60,7 +61,6 @@ use crate::exec::builder::BuildMode;
 use crate::exec::plan::ExecPlan;
 use crate::exec::taskgraph::{collect_logits, row_chunks};
 use crate::exec::Target;
-use crate::graphgen::{build_graph, GraphSpec, Phase};
 use crate::model::{Brnn, BrnnConfig, BrnnGrads, ModelKind};
 use crate::scanplan::RecurrenceStrategy;
 use bpar_runtime::lockwitness::{self, LockWitness};
@@ -178,7 +178,7 @@ impl Default for AnalyzeOptions {
 }
 
 /// Runs every prong over the configured graph and returns the combined
-/// report: sections `static-plan`, `static-graphgen`, `clause-validation`,
+/// report: sections `static-plan`, `clause-validation`,
 /// `happens-before`, `lock-discipline` and — unless fault/cancel
 /// injection is active — either `schedule-explore` (small plans) or
 /// `schedule-fuzz`.
@@ -238,33 +238,6 @@ pub fn analyze(opts: &AnalyzeOptions) -> AnalysisReport {
     plan_findings.extend(check_shape(shape_tasks, shape_edges, &spec));
     let plan_metrics = collect_metrics(&plan_view);
 
-    // Prong 1b: the same lints over the simulator's static twin of the
-    // graph — builder and graphgen must describe the same dataflow.
-    let phase = if opts.train {
-        Phase::Training
-    } else {
-        Phase::Inference
-    };
-    let gspec = GraphSpec {
-        config: opts.config,
-        batch_rows: opts.rows,
-        mbs: opts.mbs,
-        phase,
-        barriers: false,
-        fuse_merges: false,
-        split_cells: false,
-        recurrence: opts.recurrence,
-    };
-    let graph = build_graph(&gspec);
-    let graph_view = GraphView::from_graph(&graph);
-    let mut graph_findings = run_lints(&graph_view, &bpar_verify::default_region_name);
-    graph_findings.extend(check_shape(
-        graph_view.len(),
-        graph_view.edge_count(),
-        &spec,
-    ));
-    let graph_metrics = collect_metrics(&graph_view);
-
     // Prong 2: one recorded FIFO replay feeding three analyses — the
     // clause differ, the happens-before race engine, and the lock
     // discipline lints.
@@ -292,7 +265,6 @@ pub fn analyze(opts: &AnalyzeOptions) -> AnalysisReport {
 
     let mut sections = vec![
         GraphReport::new("static-plan", plan_metrics, plan_findings),
-        GraphReport::new("static-graphgen", graph_metrics, graph_findings),
         GraphReport::new(
             "clause-validation",
             collect_metrics(&plan_view),
@@ -752,9 +724,9 @@ mod tests {
 
     #[test]
     fn scan_training_graph_has_zero_findings() {
-        // The full prong stack over a live scan plan: shape (plan and
-        // graphgen twin), clause differ, happens-before, lock discipline
-        // and schedule fuzzing must all come back clean.
+        // The full prong stack over a live scan plan: shape, clause
+        // differ, happens-before, lock discipline and schedule fuzzing
+        // must all come back clean.
         let opts = AnalyzeOptions {
             config: BrnnConfig {
                 cell: crate::cell::CellKind::Linear,
@@ -795,8 +767,8 @@ mod tests {
 
     #[test]
     fn scan_fallback_on_chain_cell_analyses_the_chain_graph() {
-        // LSTM + scan request: both the compiled plan and the graphgen
-        // twin must resolve to the chain shape — no phantom scan counts.
+        // LSTM + scan request: the compiled plan must resolve to the
+        // chain shape — no phantom scan counts.
         let opts = AnalyzeOptions {
             recurrence: RecurrenceStrategy::Scan { chunks: 4 },
             ..AnalyzeOptions::default()

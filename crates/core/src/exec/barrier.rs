@@ -8,20 +8,27 @@
 //! > performance of BRNN workloads."
 //!
 //! This executor submits exactly the same tasks as
-//! [`super::TaskGraphExec`], but inserts a `taskwait` after every layer
-//! stage of the forward pass and every layer stage of the backward pass —
-//! so cells of layer `l+1` can never overlap the tail of layer `l`, and
-//! forward/reverse directions of different layers never pipeline. The
-//! ablation benches compare it directly against barrier-free B-Par on the
-//! same runtime, isolating the cost of the barriers themselves.
+//! [`super::TaskGraphExec`] plus zero-work `barrier` tasks at the §II
+//! points (see `builder::Barriers`): within each layer the reverse
+//! direction starts only after the whole forward direction, and layer
+//! `l+1` starts only after every merge of layer `l`; the backward pass
+//! mirrors both. It is the graph the simulator's framework baseline
+//! (`GraphSpec::with_barriers`) replays, so the ablation benches compare
+//! it directly against barrier-free B-Par on the same runtime, isolating
+//! the cost of the barriers themselves.
 
-use super::builder::{LiveSink, RegionAlloc};
-use super::taskgraph::{collect_logits, TaskGraphExec};
-use super::{Executor, ForwardOutput, Target};
+use super::builder::{
+    build_replicas, submit_batch, BatchShape, BuildMode, LiveSink, RegionAlloc, ReplicaGraph,
+    WeightStore,
+};
+use super::taskgraph::collect_logits;
+use super::{check_batch, Executor, ForwardOutput, Target};
 use crate::model::Brnn;
 use crate::optim::Optimizer;
+use crate::scanplan::RecurrenceStrategy;
 use bpar_runtime::{Runtime, RuntimeConfig, SchedulerPolicy};
 use bpar_tensor::{Backend, Float, Matrix};
+use std::sync::Arc;
 
 /// Task executor with per-layer barriers (framework-style scheduling).
 pub struct BarrierExec {
@@ -35,7 +42,7 @@ impl BarrierExec {
         Self::with_config(workers, SchedulerPolicy::LocalityAware, 1)
     }
 
-    /// Full configuration (see [`TaskGraphExec::with_config`]).
+    /// Full configuration (see [`super::TaskGraphExec::with_config`]).
     pub fn with_config(workers: usize, policy: SchedulerPolicy, mbs: usize) -> Self {
         assert!(mbs >= 1, "mbs must be at least 1");
         Self {
@@ -52,34 +59,50 @@ impl BarrierExec {
     pub fn runtime(&self) -> &Runtime {
         &self.runtime
     }
+
+    /// Builds the barriered graph for `batch`, submits it whole and waits
+    /// for it. Returns the replicas holding the batch's results.
+    fn run<T: Float>(
+        &self,
+        model: &Brnn<T>,
+        batch: &[Matrix<T>],
+        target: Option<&Target>,
+    ) -> Vec<ReplicaGraph<T>> {
+        self.runtime.reset();
+        let (seq, rows) = check_batch(model, batch);
+        let shape = BatchShape {
+            config: model.config,
+            rows,
+            seq,
+            mbs: self.mbs,
+            backend: Backend::scalar(),
+            strategy: RecurrenceStrategy::Chain,
+            barriers: true,
+        };
+        let weights = Arc::new(WeightStore::for_backend(model, shape.backend));
+        let mut regions = RegionAlloc::default();
+        let (replicas, chunks) = build_replicas(&weights, &shape, &mut regions);
+        for (rep, &(start, count)) in replicas.iter().zip(&chunks) {
+            rep.load_inputs(batch, start, count);
+            if let Some(target) = target {
+                rep.set_target(&target.row_block(start, count));
+            }
+        }
+        submit_batch(
+            &mut LiveSink(&self.runtime),
+            &replicas,
+            target.is_some(),
+            BuildMode::Normal,
+            &mut regions,
+        );
+        self.runtime.taskwait().expect("task panicked");
+        replicas
+    }
 }
 
 impl<T: Float> Executor<T> for BarrierExec {
     fn forward(&self, model: &Brnn<T>, batch: &[Matrix<T>]) -> ForwardOutput<T> {
-        self.runtime.reset();
-        let mut regions = RegionAlloc::default();
-        let (_weights, replicas, _) = TaskGraphExec::make_replicas(
-            self.mbs,
-            model,
-            batch,
-            &mut regions,
-            Backend::scalar(),
-            crate::scanplan::RecurrenceStrategy::Chain,
-        );
-        let mut sink = LiveSink(&self.runtime);
-        for l in 0..model.config.layers {
-            for rep in &replicas {
-                rep.submit_forward_layer(&mut sink, l);
-            }
-            // The per-layer barrier: layer l+1 cells are not even created
-            // until every layer-l cell and merge has completed.
-            self.runtime.taskwait().expect("task panicked");
-        }
-        for rep in &replicas {
-            rep.submit_output(&mut sink, false);
-        }
-        self.runtime.taskwait().expect("task panicked");
-        collect_logits(model, &replicas)
+        collect_logits(model, &self.run(model, batch, None))
     }
 
     fn train_batch(
@@ -89,42 +112,7 @@ impl<T: Float> Executor<T> for BarrierExec {
         target: &Target,
         opt: &mut dyn Optimizer<T>,
     ) -> f64 {
-        self.runtime.reset();
-        let mut regions = RegionAlloc::default();
-        let (_weights, replicas, chunks) = TaskGraphExec::make_replicas(
-            self.mbs,
-            model,
-            batch,
-            &mut regions,
-            Backend::scalar(),
-            crate::scanplan::RecurrenceStrategy::Chain,
-        );
-        let mut sink = LiveSink(&self.runtime);
-        let layers = model.config.layers;
-
-        for l in 0..layers {
-            for rep in &replicas {
-                rep.submit_forward_layer(&mut sink, l);
-            }
-            self.runtime.taskwait().expect("task panicked");
-        }
-        for (rep, &(start, count)) in replicas.iter().zip(&chunks) {
-            let chunk_target = target.row_block(start, count);
-            rep.set_target(&chunk_target);
-            rep.submit_output(&mut sink, true);
-        }
-        self.runtime.taskwait().expect("task panicked");
-        for l in (0..layers).rev() {
-            for rep in &replicas {
-                rep.submit_backward_layer(&mut sink, l);
-            }
-            self.runtime.taskwait().expect("task panicked");
-        }
-        for rep in replicas.iter().skip(1) {
-            rep.submit_reduce_into(&mut sink, &replicas[0]);
-        }
-        self.runtime.taskwait().expect("task panicked");
-
+        let replicas = self.run(model, batch, Some(target));
         let loss = replicas[0].take_loss();
         let grads = replicas[0].take_grads();
         model.apply_grads(opt, &grads);

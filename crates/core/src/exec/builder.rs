@@ -1,19 +1,24 @@
-//! Task-graph construction shared by the parallel executors.
+//! Task-graph construction: the only code that emits B-Par tasks.
 //!
 //! A [`ReplicaGraph`] owns all the *slots* (shared data cells, one
 //! dependency region each) for one mini-batch replica of a training batch,
 //! and knows how to submit the forward-cell, reverse-cell, merge, loss and
 //! backward tasks with exactly the `in`/`out` clauses of the paper's
-//! Algorithms 2 and 3. Tasks are emitted through a [`TaskSink`], so the
-//! same construction code serves two consumers:
+//! Algorithms 2 and 3, each annotated with its flop count and working set.
+//! [`submit_batch`] drives a whole batch — every replica's layers, output
+//! stage and backward pass, then the cross-replica reductions — into a
+//! [`TaskSink`], so the same construction code serves three consumers:
 //!
 //! * [`LiveSink`] submits directly to a [`Runtime`] — used by
-//!   [`super::BarrierExec`], which interleaves submission with `taskwait`s;
+//!   [`super::BarrierExec`];
 //! * `bpar_runtime::PlanBuilder` records the stream for one-shot
 //!   compilation into a replayable plan — used by [`super::TaskGraphExec`],
 //!   which re-runs the same graph every batch (task bodies are `Fn`, and
 //!   all per-batch values — inputs, targets, weights — live behind shared
-//!   stores the executor swaps between replays).
+//!   stores the executor swaps between replays);
+//! * `bpar_runtime::TaskGraph` keeps labels, clauses and costs and drops
+//!   the bodies — the simulator's graphs ([`crate::graphgen`]), built from
+//!   shape-only replicas that hold no weights and no inputs.
 //!
 //! Model weights are read through a [`WeightStore`]: a persistent snapshot
 //! deep-copied only when the model's revision stamp changes, never once per
@@ -27,11 +32,13 @@
 //! (see [`ReplicaGraph::backend`]); backward/training kernels always use
 //! the scalar oracle, since gradient checks depend on exact arithmetic.
 
+use super::taskgraph::row_chunks;
 use crate::cell::{CellCache, CellParams, CellState, StateGrad};
 use crate::dense::DenseParams;
 use crate::loss::softmax_cross_entropy;
 use crate::model::{Brnn, BrnnConfig, BrnnGrads, LayerPair, ModelKind};
 use crate::scanplan::{NodeRef, RecurrenceStrategy, ScanPlan};
+use bpar_runtime::graph::{TaskGraph, TaskNode};
 use bpar_runtime::{
     record_read_at, record_write_at, PlanBuilder, PlanSpec, RegionId, Runtime, TaskSpec,
 };
@@ -83,13 +90,26 @@ pub(crate) enum BuildMode {
     CrossEpochRace,
 }
 
-/// Hands out fresh region ids for one batch.
+/// Hands out fresh region ids for one batch, and decides whether the
+/// [`Slot`]s they guard get storage.
 #[derive(Debug, Default)]
 pub(crate) struct RegionAlloc {
     next: u64,
+    /// Slots get region ids but no storage — for graphs that are inspected
+    /// but never run (the simulator's).
+    shape_only: bool,
 }
 
 impl RegionAlloc {
+    /// An allocator whose slots carry no storage (see
+    /// [`WeightStore::shape_only`] for the matching weight store).
+    pub(crate) fn shape_only() -> Self {
+        Self {
+            next: 0,
+            shape_only: true,
+        }
+    }
+
     pub(crate) fn fresh(&mut self) -> RegionId {
         let id = RegionId(self.next);
         self.next += 1;
@@ -105,6 +125,21 @@ pub(crate) trait TaskSink {
 impl TaskSink for PlanBuilder {
     fn push(&mut self, spec: PlanSpec) {
         self.submit(spec);
+    }
+}
+
+/// A static graph keeps each task's label, tag, clauses and costs; the
+/// body is dropped unrun.
+impl TaskSink for TaskGraph {
+    fn push(&mut self, spec: PlanSpec) {
+        self.add_task(
+            TaskNode::new(spec.label)
+                .tag(spec.tag)
+                .flops(spec.flops)
+                .working_set(spec.working_set_bytes),
+            &spec.ins,
+            &spec.outs,
+        );
     }
 }
 
@@ -134,8 +169,10 @@ impl TaskSink for LiveSink<'_> {
 /// inference serving that is never, fixing the per-batch
 /// `Arc::new(model.clone())` of the original executors.
 pub(crate) struct WeightStore<T: Float> {
-    snapshot: RwLock<Arc<Brnn<T>>>,
-    /// Deep copies made over this store's lifetime (1 at construction).
+    /// `None` only for a [`WeightStore::shape_only`] store.
+    snapshot: RwLock<Option<Arc<Brnn<T>>>>,
+    /// Deep copies made over this store's lifetime (1 at seeded
+    /// construction).
     deep_copies: AtomicU64,
     /// When set, every deep copy round-trip-quantizes the weight matrices
     /// (see [`WeightStore::for_backend`]).
@@ -173,15 +210,28 @@ impl<T: Float> WeightStore<T> {
             quantize_weights(&mut seed);
         }
         Self {
-            snapshot: RwLock::new(Arc::new(seed)),
+            snapshot: RwLock::new(Some(Arc::new(seed))),
             deep_copies: AtomicU64::new(1),
             quantized,
         }
     }
 
+    /// A store holding no weights, for graphs that are inspected but never
+    /// run (the simulator's): their task bodies must not execute.
+    pub fn shape_only() -> Self {
+        Self {
+            snapshot: RwLock::new(None),
+            deep_copies: AtomicU64::new(0),
+            quantized: false,
+        }
+    }
+
     /// The current weight snapshot (cheap: one `Arc` clone).
     pub fn snapshot(&self) -> Arc<Brnn<T>> {
-        self.snapshot.read().clone()
+        self.snapshot
+            .read()
+            .clone()
+            .expect("a shape-only graph has no weights to run with")
     }
 
     /// Brings the snapshot up to date with `model`. Returns `true` iff a
@@ -189,14 +239,19 @@ impl<T: Float> WeightStore<T> {
     /// the revision stamp, so a quantized snapshot still compares equal to
     /// the model it was copied from.
     pub fn sync(&self, model: &Brnn<T>) -> bool {
-        if self.snapshot.read().revision() == model.revision() {
+        if self
+            .snapshot
+            .read()
+            .as_ref()
+            .is_some_and(|s| s.revision() == model.revision())
+        {
             return false;
         }
         let mut copy = model.clone();
         if self.quantized {
             quantize_weights(&mut copy);
         }
-        *self.snapshot.write() = Arc::new(copy);
+        *self.snapshot.write() = Some(Arc::new(copy));
         self.deep_copies.fetch_add(1, Ordering::Relaxed);
         true
     }
@@ -224,7 +279,8 @@ impl<T: Float> WeightStore<T> {
 /// data cell — so the schedule-exploration prong can detect storage
 /// aliased under two region ids, which no region-keyed analysis can see.
 pub(crate) struct Slot<X> {
-    data: Arc<RwLock<Option<X>>>,
+    /// `None` for slots of a shape-only graph, whose bodies never run.
+    data: Option<Arc<RwLock<Option<X>>>>,
     /// Dependency region representing this value.
     pub region: RegionId,
 }
@@ -241,9 +297,16 @@ impl<X> Clone for Slot<X> {
 impl<X> Slot<X> {
     fn new(regions: &mut RegionAlloc) -> Self {
         Self {
-            data: Arc::new(RwLock::new(None)),
+            data: (!regions.shape_only).then(|| Arc::new(RwLock::new(None))),
             region: regions.fresh(),
         }
+    }
+
+    /// The shared data cell.
+    fn cell(&self) -> &Arc<RwLock<Option<X>>> {
+        self.data
+            .as_ref()
+            .expect("a shape-only graph has no slot storage to run with")
     }
 
     /// A second handle to the *same* data cell under a *fresh* region id.
@@ -264,25 +327,25 @@ impl<X> Slot<X> {
     /// so physical aliasing is visible to the exploration prong even when
     /// region ids disagree.
     fn site(&self) -> u64 {
-        Arc::as_ptr(&self.data) as u64
+        Arc::as_ptr(self.cell()) as u64
     }
 
     /// Stores a value (writer side).
     pub fn put(&self, v: X) {
         record_write_at(self.region, self.site());
-        *self.data.write() = Some(v);
+        *self.cell().write() = Some(v);
     }
 
     /// Removes the value (single-consumer reads).
     pub fn take(&self) -> Option<X> {
         record_read_at(self.region, self.site());
-        self.data.write().take()
+        self.cell().write().take()
     }
 
     /// Reads the value by reference (multi-consumer reads).
     pub fn with<R>(&self, f: impl FnOnce(Option<&X>) -> R) -> R {
         record_read_at(self.region, self.site());
-        f(self.data.read().as_ref())
+        f(self.cell().read().as_ref())
     }
 
     /// Mutates the value in place, initialising with `init` if absent
@@ -291,7 +354,7 @@ impl<X> Slot<X> {
     pub fn update(&self, init: impl FnOnce() -> X, f: impl FnOnce(&mut X)) {
         record_read_at(self.region, self.site());
         record_write_at(self.region, self.site());
-        let mut guard = self.data.write();
+        let mut guard = self.cell().write();
         let v = guard.get_or_insert_with(init);
         f(v);
     }
@@ -306,7 +369,7 @@ impl<X> Slot<X> {
     /// instead of dropping and reallocating it every batch.
     pub fn write_in_place(&self, init: impl FnOnce() -> X, f: impl FnOnce(&mut X)) {
         record_write_at(self.region, self.site());
-        let mut guard = self.data.write();
+        let mut guard = self.cell().write();
         let v = guard.get_or_insert_with(init);
         f(v);
     }
@@ -317,7 +380,7 @@ impl<X> Slot<X> {
     pub fn accumulate(&self, v: X, add: impl FnOnce(&mut X, X)) {
         record_read_at(self.region, self.site());
         record_write_at(self.region, self.site());
-        let mut guard = self.data.write();
+        let mut guard = self.cell().write();
         match guard.as_mut() {
             Some(acc) => add(acc, v),
             None => *guard = Some(v),
@@ -385,6 +448,138 @@ pub(crate) struct ScanSlots<T: Float> {
     pub fwd: Vec<DirScanSlots<T>>,
     /// Reverse-direction transfer slots, `[layer]`.
     pub rev: Vec<DirScanSlots<T>>,
+}
+
+/// Everything a batch graph is built for except the values: model
+/// hyper-parameters, batch shape and how the graph is scheduled.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct BatchShape {
+    /// Hyper-parameters (plan-cache keys guarantee a graph is only ever
+    /// replayed for models with this config).
+    pub config: BrnnConfig,
+    /// Total batch rows, split over the replicas by [`row_chunks`].
+    pub rows: usize,
+    /// Timesteps.
+    pub seq: usize,
+    /// Mini-batch replicas (`mbs:N`).
+    pub mbs: usize,
+    /// Kernel backend the forward task bodies dispatch through.
+    pub backend: Backend,
+    /// *Effective* recurrence strategy (callers resolve fallback and
+    /// clamping via [`RecurrenceStrategy::effective`] first).
+    pub strategy: RecurrenceStrategy,
+    /// Emit the framework-style barrier tasks (see [`Barriers`]).
+    pub barriers: bool,
+}
+
+/// Region ids of one replica's framework-style barrier tasks, `[layer]`.
+///
+/// Per §II, frameworks "apply per-layer barriers between forward and
+/// reverse order RNNs": each layer runs its forward direction, then its
+/// reverse direction, then merges, and the next layer starts only after
+/// every merge. A barrier is a zero-work `barrier` task reading every
+/// value of the stage it closes and writing one region that every task of
+/// the next stage reads. Removing exactly these constraints is what B-Par
+/// contributes.
+pub(crate) struct Barriers {
+    /// Forward pass, tag `l`: the forward direction of layer `l` is done;
+    /// read by its reverse-direction cells.
+    dir: Vec<RegionId>,
+    /// Forward pass, tag `100 + l`: every merge of layer `l` is done; read
+    /// by layer `l + 1`'s forward-direction cells.
+    layer: Vec<RegionId>,
+    /// Backward pass, tag `200 + l`: the forward direction's BPTT of layer
+    /// `l` is done; read by the reverse direction's.
+    bdir: Vec<RegionId>,
+    /// Backward pass, tag `300 + l`: layer `l`'s backward (merge-backward
+    /// included) is done; read by layer `l - 1`'s forward-direction BPTT.
+    blayer: Vec<RegionId>,
+}
+
+impl Barriers {
+    fn new(layers: usize, regions: &mut RegionAlloc) -> Self {
+        let mut per_layer = || (0..layers).map(|_| regions.fresh()).collect();
+        Self {
+            dir: per_layer(),
+            layer: per_layer(),
+            bdir: per_layer(),
+            blayer: per_layer(),
+        }
+    }
+}
+
+/// Cost of one scan combine `(a1,b1)∘(a2,b2) = (a1⊙a2, a2⊙b1+b2)`: a
+/// `1×H` element-wise product plus a `rows×H` row-scaled add.
+fn combine_flops(rows: usize, hidden: usize) -> u64 {
+    ((2 * rows + 1) * hidden) as u64
+}
+
+/// Pushes one zero-work barrier task: reads `ins`, writes `out`.
+fn push_barrier(sink: &mut dyn TaskSink, tag: u64, ins: Vec<RegionId>, out: RegionId) {
+    sink.push(
+        PlanSpec::new("barrier")
+            .tag(tag)
+            .ins(ins)
+            .outs([out])
+            .body(|| {}),
+    );
+}
+
+/// Builds one replica graph per row chunk of `shape`, all reading weights
+/// from `weights`. Input stores start empty: fill them with
+/// [`ReplicaGraph::load_inputs`] before running. Returns the replicas and
+/// their `(start, count)` row ranges.
+pub(crate) fn build_replicas<T: Float>(
+    weights: &Arc<WeightStore<T>>,
+    shape: &BatchShape,
+    regions: &mut RegionAlloc,
+) -> (Vec<ReplicaGraph<T>>, Vec<(usize, usize)>) {
+    let chunks = row_chunks(shape.rows, shape.mbs);
+    let replicas = chunks
+        .iter()
+        .map(|&(_, count)| {
+            let weight = count as f64 / shape.rows as f64;
+            ReplicaGraph::new(weights.clone(), shape, count, weight, regions)
+        })
+        .collect();
+    (replicas, chunks)
+}
+
+/// Submits one whole batch into `sink`: per replica the forward layers,
+/// the output stage and (training) the backward layers deepest-first,
+/// then the cross-replica gradient reductions. Every sabotaged
+/// [`BuildMode`] seeds its bug in the first replica only.
+pub(crate) fn submit_batch<T: Float>(
+    sink: &mut dyn TaskSink,
+    replicas: &[ReplicaGraph<T>],
+    train: bool,
+    mode: BuildMode,
+    regions: &mut RegionAlloc,
+) {
+    for (ri, rep) in replicas.iter().enumerate() {
+        let rep_mode = if ri == 0 { mode } else { BuildMode::Normal };
+        let layers = rep.config.layers;
+        for l in 0..layers {
+            rep.submit_forward_layer(sink, l, rep_mode);
+        }
+        rep.submit_output(sink, train);
+        if train {
+            for l in (0..layers).rev() {
+                rep.submit_backward_layer(sink, l);
+            }
+        }
+    }
+    if train {
+        for rep in replicas.iter().skip(1) {
+            rep.submit_reduce_into(sink, &replicas[0]);
+        }
+    }
+    if mode == BuildMode::CrossEpochRace {
+        // Submitted last so the probe's declared clauses attach no edges
+        // to the classifier chain — the aliasing bug, not a clause bug, is
+        // what makes it racy.
+        replicas[0].submit_epoch_probe(sink, regions);
+    }
 }
 
 /// All slots and regions for one mini-batch replica.
@@ -457,27 +652,33 @@ pub(crate) struct ReplicaGraph<T: Float> {
     pub strategy: RecurrenceStrategy,
     /// Scan topology and transfer slots; `Some` iff `strategy` is scan.
     pub scan: Option<ScanSlots<T>>,
+    /// Framework-style barrier regions; `Some` iff built with barriers.
+    pub barriers: Option<Barriers>,
 }
 
 impl<T: Float> ReplicaGraph<T> {
-    /// Allocates all slots for a replica of `rows` batch rows.
+    /// Allocates all slots for a replica of `rows` batch rows of `shape`.
+    /// The input store starts empty (see [`ReplicaGraph::load_inputs`]).
     pub fn new(
         weights: Arc<WeightStore<T>>,
-        xs: Vec<Matrix<T>>,
+        shape: &BatchShape,
+        rows: usize,
         weight: f64,
         regions: &mut RegionAlloc,
-        backend: Backend,
-        strategy: RecurrenceStrategy,
     ) -> Self {
-        let cfg = weights.snapshot().config;
-        let seq = xs.len();
-        let rows = xs[0].rows();
+        let cfg = shape.config;
+        let seq = shape.seq;
+        let strategy = shape.strategy;
         let scan = strategy.scan_chunks().map(|chunks| {
             assert!(
                 cfg.cell.scannable(),
                 "scan recurrence requires a scannable cell (got {:?}); callers \
                  must resolve RecurrenceStrategy::effective first",
                 cfg.cell
+            );
+            assert!(
+                !shape.barriers,
+                "the scan strategy excludes the barrier ablation"
             );
             let plan = ScanPlan::new(seq, chunks);
             ScanSlots {
@@ -500,7 +701,7 @@ impl<T: Float> ReplicaGraph<T> {
             ModelKind::ManyToMany => seq,
         };
         Self {
-            xs: Arc::new(RwLock::new(xs)),
+            xs: Arc::new(RwLock::new(Vec::new())),
             targets: Arc::new(RwLock::new(Vec::new())),
             seq,
             rows,
@@ -526,9 +727,10 @@ impl<T: Float> ReplicaGraph<T> {
             zero_state: Arc::new(CellState::zeros(cfg.cell, rows, cfg.hidden_size)),
             weights,
             config: cfg,
-            backend,
+            backend: shape.backend,
             strategy,
             scan,
+            barriers: shape.barriers.then(|| Barriers::new(cfg.layers, regions)),
         }
     }
 
@@ -652,14 +854,9 @@ impl<T: Float> ReplicaGraph<T> {
     }
 
     /// Submits all cell and merge tasks of layer `l` (Algorithms 2 and 3:
-    /// forward-order cells, reverse-order cells, merge cells).
-    pub fn submit_forward_layer(&self, sink: &mut dyn TaskSink, l: usize) {
-        self.submit_forward_layer_mode(sink, l, BuildMode::Normal);
-    }
-
-    /// [`ReplicaGraph::submit_forward_layer`] with an explicit
-    /// [`BuildMode`] (sabotage hook for the clause-soundness detectors).
-    pub fn submit_forward_layer_mode(&self, sink: &mut dyn TaskSink, l: usize, mode: BuildMode) {
+    /// forward-order cells, reverse-order cells, merge cells). `mode` is
+    /// the sabotage hook for the clause-soundness detectors.
+    fn submit_forward_layer(&self, sink: &mut dyn TaskSink, l: usize, mode: BuildMode) {
         if self.scan.is_some() {
             assert!(
                 mode != BuildMode::MissingStateClause,
@@ -670,223 +867,191 @@ impl<T: Float> ReplicaGraph<T> {
             self.submit_merge_tasks(sink, l);
             return;
         }
-        let cfg = self.config;
         let seq = self.seq_len();
-        let hidden = cfg.hidden_size;
-        let input_w = cfg.layer_input_size(l);
-        let ws = cfg
-            .cell
-            .forward_working_set(self.rows, input_w, hidden, std::mem::size_of::<T>());
-
-        // Forward-order cells: t ascending; each depends on its own t-1
-        // state and (for l > 0) the merge cell below (Algorithm 2).
+        // Forward-order cells, t ascending (Algorithm 2). Sabotage hook:
+        // drop exactly the (l=0, t=1) -> (l=0, t=0) state clause. The body
+        // is untouched and still reads the slot, so the resulting plan
+        // contains a genuine undeclared dependency for the detectors.
         for t in 0..seq {
-            let mut ins: Vec<RegionId> = Vec::with_capacity(2);
-            // Sabotage hook: drop exactly the (l=0, t=1) -> (l=0, t=0)
-            // state clause. The body below is untouched and still reads
-            // the slot, so the resulting plan contains a genuine
-            // undeclared dependency for the detectors to find.
             let sabotaged = mode == BuildMode::MissingStateClause && l == 0 && t == 1;
-            if t > 0 && !sabotaged {
-                ins.push(self.st_fwd[l][t - 1].region);
-            }
-            if l > 0 {
-                ins.push(self.merged[l - 1][t].region);
-            }
-            let out = self.st_fwd[l][t].region;
-            let weights = self.weights.clone();
-            let xs = self.xs.clone();
-            let prev = (t > 0).then(|| self.st_fwd[l][t - 1].clone());
-            let below = (l > 0).then(|| self.merged[l - 1][t].clone());
-            let dst = self.st_fwd[l][t].clone();
-            let zero = self.zero_state.clone();
-            let rows = self.rows;
-            let be = self.backend;
-            // Per-task scratch arena. A compiled task runs at most once per
-            // replay and replays are separated by `taskwait`, so the lock
-            // is never contended; it exists to keep the body `Fn + Sync`.
-            let scratch = Arc::new(Mutex::new(Workspace::new()));
-            sink.push(
-                PlanSpec::new("cell_fwd")
-                    .tag(((l as u64) << 32) | t as u64)
-                    .ins(ins)
-                    .outs([out])
-                    .working_set(ws)
-                    .body(move || {
-                        let model = weights.snapshot();
-                        let cfg = model.config;
-                        let params = &model.layers[l].fwd;
-                        let mut scratch = scratch.lock();
-                        let init = || {
-                            (
-                                CellState::zeros(cfg.cell, rows, cfg.hidden_size),
-                                CellCache::zeros(
-                                    cfg.cell,
-                                    rows,
-                                    cfg.layer_input_size(l),
-                                    cfg.hidden_size,
-                                ),
-                            )
-                        };
-                        match (&below, &prev) {
-                            (Some(below), Some(prev)) => below.with(|m| {
-                                let m = m.expect("missing merge");
-                                prev.with(|v| {
-                                    let p = &v.expect("missing t-1 state").0;
-                                    dst.write_in_place(init, |(st, cache)| {
-                                        params.forward_ws(m, p, st, cache, &mut scratch, be)
-                                    })
-                                })
-                            }),
-                            (Some(below), None) => below.with(|m| {
-                                let m = m.expect("missing merge");
-                                dst.write_in_place(init, |(st, cache)| {
-                                    params.forward_ws(m, &zero, st, cache, &mut scratch, be)
-                                })
-                            }),
-                            (None, Some(prev)) => {
-                                let xs = xs.read();
-                                prev.with(|v| {
-                                    let p = &v.expect("missing t-1 state").0;
-                                    dst.write_in_place(init, |(st, cache)| {
-                                        params.forward_ws(&xs[t], p, st, cache, &mut scratch, be)
-                                    })
-                                })
-                            }
-                            (None, None) => {
-                                let xs = xs.read();
-                                dst.write_in_place(init, |(st, cache)| {
-                                    params.forward_ws(&xs[t], &zero, st, cache, &mut scratch, be)
-                                })
-                            }
-                        }
-                    }),
-            );
+            self.push_cell(sink, l, t, true, !sabotaged);
         }
-
-        // Reverse-order cells: created t descending; each depends on its
-        // own t+1 state and the merge cell below (Algorithm 3).
+        if let Some(b) = &self.barriers {
+            let ins = (0..seq).map(|t| self.st_fwd[l][t].region).collect();
+            push_barrier(sink, l as u64, ins, b.dir[l]);
+        }
+        // Reverse-order cells, created t descending (Algorithm 3).
         for t in (0..seq).rev() {
-            let mut ins: Vec<RegionId> = Vec::with_capacity(2);
-            if t + 1 < seq {
-                ins.push(self.st_rev[l][t + 1].region);
-            }
-            if l > 0 {
-                ins.push(self.merged[l - 1][t].region);
-            }
-            let out = self.st_rev[l][t].region;
-            let weights = self.weights.clone();
-            let xs = self.xs.clone();
-            let prev = (t + 1 < seq).then(|| self.st_rev[l][t + 1].clone());
-            let below = (l > 0).then(|| self.merged[l - 1][t].clone());
-            let dst = self.st_rev[l][t].clone();
-            let zero = self.zero_state.clone();
-            let rows = self.rows;
-            let be = self.backend;
-            let scratch = Arc::new(Mutex::new(Workspace::new()));
-            sink.push(
-                PlanSpec::new("cell_rev")
-                    .tag(((l as u64) << 32) | t as u64)
-                    .ins(ins)
-                    .outs([out])
-                    .working_set(ws)
-                    .body(move || {
-                        let model = weights.snapshot();
-                        let cfg = model.config;
-                        let params = &model.layers[l].rev;
-                        let mut scratch = scratch.lock();
-                        let init = || {
-                            (
-                                CellState::zeros(cfg.cell, rows, cfg.hidden_size),
-                                CellCache::zeros(
-                                    cfg.cell,
-                                    rows,
-                                    cfg.layer_input_size(l),
-                                    cfg.hidden_size,
-                                ),
-                            )
-                        };
-                        match (&below, &prev) {
-                            (Some(below), Some(prev)) => below.with(|m| {
-                                let m = m.expect("missing merge");
-                                prev.with(|v| {
-                                    let p = &v.expect("missing t+1 state").0;
-                                    dst.write_in_place(init, |(st, cache)| {
-                                        params.forward_ws(m, p, st, cache, &mut scratch, be)
-                                    })
-                                })
-                            }),
-                            (Some(below), None) => below.with(|m| {
-                                let m = m.expect("missing merge");
-                                dst.write_in_place(init, |(st, cache)| {
-                                    params.forward_ws(m, &zero, st, cache, &mut scratch, be)
-                                })
-                            }),
-                            (None, Some(prev)) => {
-                                let xs = xs.read();
-                                prev.with(|v| {
-                                    let p = &v.expect("missing t+1 state").0;
-                                    dst.write_in_place(init, |(st, cache)| {
-                                        params.forward_ws(&xs[t], p, st, cache, &mut scratch, be)
-                                    })
-                                })
-                            }
-                            (None, None) => {
-                                let xs = xs.read();
-                                dst.write_in_place(init, |(st, cache)| {
-                                    params.forward_ws(&xs[t], &zero, st, cache, &mut scratch, be)
-                                })
-                            }
-                        }
-                    }),
-            );
+            self.push_cell(sink, l, t, false, true);
         }
-
         self.submit_merge_tasks(sink, l);
     }
 
+    /// One cell update of layer `l` at timestep `t` in the forward
+    /// (`fwd`) or reverse direction. It depends on its own recurrent state
+    /// (`t-1` forward, `t+1` reverse; the clause is declared iff
+    /// `state_clause`) and, for `l > 0`, on the merge cell below.
+    fn push_cell(
+        &self,
+        sink: &mut dyn TaskSink,
+        l: usize,
+        t: usize,
+        fwd: bool,
+        state_clause: bool,
+    ) {
+        let cfg = self.config;
+        let (st, label) = if fwd {
+            (&self.st_fwd[l], "cell_fwd")
+        } else {
+            (&self.st_rev[l], "cell_rev")
+        };
+        let prev_t = if fwd {
+            t.checked_sub(1)
+        } else {
+            Some(t + 1).filter(|&p| p < self.seq_len())
+        };
+        let prev = prev_t.map(|p| st[p].clone());
+        let below = (l > 0).then(|| self.merged[l - 1][t].clone());
+        let mut ins: Vec<RegionId> = Vec::with_capacity(3);
+        if let Some(p) = prev.as_ref().filter(|_| state_clause) {
+            ins.push(p.region);
+        }
+        if let Some(b) = &below {
+            ins.push(b.region);
+        }
+        if let Some(b) = &self.barriers {
+            // Forward cells wait for the layer below to finish, reverse
+            // cells for their own layer's forward direction.
+            match (fwd, l) {
+                (true, 0) => {}
+                (true, _) => ins.push(b.layer[l - 1]),
+                (false, _) => ins.push(b.dir[l]),
+            }
+        }
+        let input_w = cfg.layer_input_size(l);
+        let hidden = cfg.hidden_size;
+        let scalar = std::mem::size_of::<T>();
+        let weights = self.weights.clone();
+        let xs = self.xs.clone();
+        let dst = st[t].clone();
+        let zero = self.zero_state.clone();
+        let rows = self.rows;
+        let be = self.backend;
+        // Per-task scratch arena. A compiled task runs at most once per
+        // replay and replays are separated by `taskwait`, so the lock is
+        // never contended; it exists to keep the body `Fn + Sync`.
+        let scratch = Arc::new(Mutex::new(Workspace::new()));
+        sink.push(
+            PlanSpec::new(label)
+                .tag(((l as u64) << 32) | t as u64)
+                .ins(ins)
+                .outs([dst.region])
+                .flops(cfg.cell.forward_flops(rows, input_w, hidden))
+                .working_set(cfg.cell.forward_working_set(rows, input_w, hidden, scalar))
+                .body(move || {
+                    let model = weights.snapshot();
+                    let cfg = model.config;
+                    let params = if fwd {
+                        &model.layers[l].fwd
+                    } else {
+                        &model.layers[l].rev
+                    };
+                    let mut scratch = scratch.lock();
+                    let init = || {
+                        (
+                            CellState::zeros(cfg.cell, rows, cfg.hidden_size),
+                            CellCache::zeros(
+                                cfg.cell,
+                                rows,
+                                cfg.layer_input_size(l),
+                                cfg.hidden_size,
+                            ),
+                        )
+                    };
+                    match (&below, &prev) {
+                        (Some(below), Some(prev)) => below.with(|m| {
+                            let m = m.expect("missing merge");
+                            prev.with(|v| {
+                                let p = &v.expect("missing recurrent state").0;
+                                dst.write_in_place(init, |(st, cache)| {
+                                    params.forward_ws(m, p, st, cache, &mut scratch, be)
+                                })
+                            })
+                        }),
+                        (Some(below), None) => below.with(|m| {
+                            let m = m.expect("missing merge");
+                            dst.write_in_place(init, |(st, cache)| {
+                                params.forward_ws(m, &zero, st, cache, &mut scratch, be)
+                            })
+                        }),
+                        (None, Some(prev)) => {
+                            let xs = xs.read();
+                            prev.with(|v| {
+                                let p = &v.expect("missing recurrent state").0;
+                                dst.write_in_place(init, |(st, cache)| {
+                                    params.forward_ws(&xs[t], p, st, cache, &mut scratch, be)
+                                })
+                            })
+                        }
+                        (None, None) => {
+                            let xs = xs.read();
+                            dst.write_in_place(init, |(st, cache)| {
+                                params.forward_ws(&xs[t], &zero, st, cache, &mut scratch, be)
+                            })
+                        }
+                    }
+                }),
+        );
+    }
+
     /// Merge cells (all layers except the last, which is handled by
-    /// `submit_output`). Kept as separate tasks so forward and reverse
-    /// cells never depend on each other (§III-A). Shared by the chain and
-    /// scan forward paths — merges read completed `st` slots either way.
+    /// `submit_output`), then the layer barrier when built with barriers.
+    /// Kept as separate tasks so forward and reverse cells never depend on
+    /// each other (§III-A). Shared by the chain and scan forward paths —
+    /// merges read completed `st` slots either way.
     fn submit_merge_tasks(&self, sink: &mut dyn TaskSink, l: usize) {
         let cfg = self.config;
         let seq = self.seq_len();
         let hidden = cfg.hidden_size;
-        if l + 1 < cfg.layers {
-            let merge_ws =
-                3 * self.rows * cfg.merge.output_width(hidden) * std::mem::size_of::<T>();
-            let width = cfg.merge.output_width(hidden);
-            for t in 0..seq {
-                let f = self.st_fwd[l][t].clone();
-                let r = self.st_rev[l][t].clone();
-                let dst = self.merged[l][t].clone();
-                let mode = cfg.merge;
-                let rows = self.rows;
-                sink.push(
-                    PlanSpec::new("merge")
-                        .tag(((l as u64) << 32) | t as u64)
-                        .ins([f.region, r.region])
-                        .outs([dst.region])
-                        .working_set(merge_ws)
-                        .body(move || {
-                            f.with(|fv| {
-                                r.with(|rv| {
-                                    dst.write_in_place(
-                                        || Matrix::zeros(rows, width),
-                                        |m| {
-                                            mode.apply_into(
-                                                &fv.expect("fwd missing").0.h,
-                                                &rv.expect("rev missing").0.h,
-                                                m,
-                                            )
-                                        },
-                                    )
-                                })
-                            });
-                        }),
-                );
-            }
+        if l + 1 >= cfg.layers {
+            return;
+        }
+        let merge_ws = 3 * self.rows * cfg.merge.output_width(hidden) * std::mem::size_of::<T>();
+        let width = cfg.merge.output_width(hidden);
+        for t in 0..seq {
+            let f = self.st_fwd[l][t].clone();
+            let r = self.st_rev[l][t].clone();
+            let dst = self.merged[l][t].clone();
+            let mode = cfg.merge;
+            let rows = self.rows;
+            sink.push(
+                PlanSpec::new("merge")
+                    .tag(((l as u64) << 32) | t as u64)
+                    .ins([f.region, r.region])
+                    .outs([dst.region])
+                    .flops(cfg.merge.flops(rows, hidden))
+                    .working_set(merge_ws)
+                    .body(move || {
+                        f.with(|fv| {
+                            r.with(|rv| {
+                                dst.write_in_place(
+                                    || Matrix::zeros(rows, width),
+                                    |m| {
+                                        mode.apply_into(
+                                            &fv.expect("fwd missing").0.h,
+                                            &rv.expect("rev missing").0.h,
+                                            m,
+                                        )
+                                    },
+                                )
+                            })
+                        });
+                    }),
+            );
+        }
+        if let Some(b) = &self.barriers {
+            let ins = (0..seq).map(|t| self.merged[l][t].region).collect();
+            push_barrier(sink, 100 + l as u64, ins, b.layer[l]);
         }
     }
 
@@ -904,9 +1069,12 @@ impl<T: Float> ReplicaGraph<T> {
         let seq = self.seq_len();
         let hidden = cfg.hidden_size;
         let input_w = cfg.layer_input_size(l);
-        let cell_ws =
-            cfg.cell
-                .forward_working_set(self.rows, input_w, hidden, std::mem::size_of::<T>());
+        let scalar = std::mem::size_of::<T>();
+        let step_flops = cfg.cell.forward_flops(self.rows, input_w, hidden);
+        let cell_ws = cfg
+            .cell
+            .forward_working_set(self.rows, input_w, hidden, scalar);
+        let transfer_bytes = (hidden + self.rows * hidden) * scalar;
 
         for fwd_dir in [true, false] {
             let (st, dirslots) = if fwd_dir {
@@ -955,6 +1123,8 @@ impl<T: Float> ReplicaGraph<T> {
                         .tag(tag(c))
                         .ins(ins)
                         .outs(outs)
+                        // Chain sweep over the chunk plus the λ^len total.
+                        .flops(len as u64 * step_flops + (len * hidden) as u64)
                         .working_set(cell_ws * len)
                         .body(move || {
                             let model = weights.snapshot();
@@ -1047,6 +1217,8 @@ impl<T: Float> ReplicaGraph<T> {
                         .tag(tag(k))
                         .ins([lhs.region, rhs.region])
                         .outs([dst.region])
+                        .flops(combine_flops(rows, hidden))
+                        .working_set(3 * transfer_bytes)
                         .body(move || {
                             lhs.with(|lv| {
                                 let (a1, b1) = lv.expect("missing scan operand");
@@ -1069,6 +1241,7 @@ impl<T: Float> ReplicaGraph<T> {
             // cached h_prev). Read-modify-writes, so the `st` regions are
             // declared inout.
             for (c, &(j0, j1)) in scan.plan.chunks.iter().enumerate().skip(1) {
+                let len = j1 - j0;
                 let pref = dirslots.resolve(scan.plan.prefix_of_chunk[c], false);
                 let dsts: Vec<CellSlot<T>> = (j0..j1).map(|j| st[phys(j)].clone()).collect();
                 let mut ins: Vec<RegionId> = vec![pref.region];
@@ -1083,7 +1256,10 @@ impl<T: Float> ReplicaGraph<T> {
                         .tag(tag(c))
                         .ins(ins)
                         .outs(outs)
-                        .working_set(rows * hidden * std::mem::size_of::<T>())
+                        // Per position: h_prev += carry, carry ← λ⊙carry,
+                        // h += carry (all rows×H element-wise).
+                        .flops((5 * rows * hidden * len) as u64)
+                        .working_set((2 * len + 1) * rows * hidden * scalar)
                         .body(move || {
                             let model = weights.snapshot();
                             let params = if fwd_dir {
@@ -1138,9 +1314,12 @@ impl<T: Float> ReplicaGraph<T> {
         let seq = self.seq_len();
         let hidden = cfg.hidden_size;
         let input_w = cfg.layer_input_size(l);
-        let cell_ws =
-            cfg.cell
-                .backward_working_set(self.rows, input_w, hidden, std::mem::size_of::<T>());
+        let scalar = std::mem::size_of::<T>();
+        let bwd_flops = cfg.cell.backward_flops(self.rows, input_w, hidden);
+        let cell_ws = cfg
+            .cell
+            .backward_working_set(self.rows, input_w, hidden, scalar);
+        let transfer_bytes = (hidden + self.rows * hidden) * scalar;
         let cc = scan.plan.chunk_count();
 
         for fwd_dir in [true, false] {
@@ -1192,7 +1371,9 @@ impl<T: Float> ReplicaGraph<T> {
                         .tag(tag(bc))
                         .ins(ins)
                         .outs(outs)
-                        .working_set(cell_ws * len)
+                        // Per position: δ = dh + λ⊙carry plus the λ^len total.
+                        .flops((3 * rows * hidden * len + hidden * len) as u64)
+                        .working_set(2 * len * rows * hidden * scalar)
                         .body(move || {
                             let model = weights.snapshot();
                             let cfg = model.config;
@@ -1259,6 +1440,8 @@ impl<T: Float> ReplicaGraph<T> {
                         .tag(tag(k))
                         .ins([lhs.region, rhs.region])
                         .outs([dst.region])
+                        .flops(combine_flops(rows, hidden))
+                        .working_set(3 * transfer_bytes)
                         .body(move || {
                             lhs.with(|lv| {
                                 let (a1, b1) = lv.expect("missing adjoint operand");
@@ -1296,7 +1479,9 @@ impl<T: Float> ReplicaGraph<T> {
                         .tag(tag(bc))
                         .ins(ins)
                         .outs(outs)
-                        .working_set(rows * hidden * std::mem::size_of::<T>())
+                        // Per position: carry ← λ⊙carry, δ += carry.
+                        .flops((3 * rows * hidden * len) as u64)
+                        .working_set((len + 1) * rows * hidden * scalar)
                         .body(move || {
                             let model = weights.snapshot();
                             let params = if fwd_dir {
@@ -1356,6 +1541,7 @@ impl<T: Float> ReplicaGraph<T> {
                         .tag(tag(c))
                         .ins(ins)
                         .outs(outs)
+                        .flops(len as u64 * bwd_flops)
                         .working_set(cell_ws * len)
                         .body(move || {
                             let model = weights.snapshot();
@@ -1389,10 +1575,13 @@ impl<T: Float> ReplicaGraph<T> {
     /// Submits the last layer's merge + classifier tasks. With
     /// `train = true` also computes the weighted loss and `dfeat`, reading
     /// classes from the target store (see [`ReplicaGraph::set_target`]).
-    pub fn submit_output(&self, sink: &mut dyn TaskSink, train: bool) {
+    fn submit_output(&self, sink: &mut dyn TaskSink, train: bool) {
         let cfg = self.config;
         let seq = self.seq_len();
         let last = cfg.layers - 1;
+        let dense_in = cfg.classifier_input_size();
+        let dense_flops = (2 * self.rows * dense_in * cfg.output_size) as u64;
+        let merge_flops = cfg.merge.flops(self.rows, cfg.hidden_size);
         let positions: Vec<(usize, usize, usize)> = match cfg.kind {
             // (output index, fwd t, rev t)
             ModelKind::ManyToOne => vec![(0, seq - 1, 0)],
@@ -1413,6 +1602,8 @@ impl<T: Float> ReplicaGraph<T> {
                     .tag(i as u64)
                     .ins([f.region, r.region])
                     .outs([dst.region])
+                    .flops(merge_flops)
+                    .working_set(3 * rows * dense_in * std::mem::size_of::<T>())
                     .body(move || {
                         f.with(|fv| {
                             r.with(|rv| {
@@ -1438,6 +1629,7 @@ impl<T: Float> ReplicaGraph<T> {
                         .tag(i as u64)
                         .ins([feat.region])
                         .outs([out.region])
+                        .flops(dense_flops)
                         .body(move || {
                             let model = weights.snapshot();
                             let mut scratch = scratch.lock();
@@ -1472,6 +1664,7 @@ impl<T: Float> ReplicaGraph<T> {
                         .tag(i as u64)
                         .ins([feat.region, gdense.region, loss_slot.region])
                         .outs([out.region, dfeat.region, gdense.region, loss_slot.region])
+                        .flops(3 * dense_flops)
                         .body(move || {
                             let model = weights.snapshot();
                             feat.with(|x| {
@@ -1506,6 +1699,7 @@ impl<T: Float> ReplicaGraph<T> {
                         .tag(i as u64)
                         .ins([dfeat2.region, f.region, r.region])
                         .outs([dhf.region, dhr.region])
+                        .flops(merge_flops)
                         .body(move || {
                             let (df, dr) = dfeat2.with(|d| {
                                 f.with(|fv| {
@@ -1535,7 +1729,7 @@ impl<T: Float> ReplicaGraph<T> {
     /// probe's zero-fill lands between `merge_final` and the classifier,
     /// corrupting the logits. Only exhaustive schedule exploration, which
     /// keys conflicts on physical sites, can witness the divergence.
-    pub fn submit_epoch_probe(&self, sink: &mut dyn TaskSink, regions: &mut RegionAlloc) {
+    fn submit_epoch_probe(&self, sink: &mut dyn TaskSink, regions: &mut RegionAlloc) {
         let probe_src = self.st_fwd[0][0].clone();
         let aliased = self.feat[0].alias_with_fresh_region(regions);
         let rows = self.rows;
@@ -1564,129 +1758,127 @@ impl<T: Float> ReplicaGraph<T> {
     /// cells (t descending), reverse-direction backward cells (t
     /// ascending), and — for `l > 0` — the merge-backward tasks that seed
     /// layer `l-1`.
-    pub fn submit_backward_layer(&self, sink: &mut dyn TaskSink, l: usize) {
+    fn submit_backward_layer(&self, sink: &mut dyn TaskSink, l: usize) {
         if self.scan.is_some() {
             self.submit_backward_layer_scan(sink, l);
             self.submit_merge_bwd_tasks(sink, l);
             return;
         }
-        let cfg = self.config;
         let seq = self.seq_len();
-        let hidden = cfg.hidden_size;
-        let input_w = cfg.layer_input_size(l);
-        let ws =
-            cfg.cell
-                .backward_working_set(self.rows, input_w, hidden, std::mem::size_of::<T>());
-
-        // Forward-direction BPTT: gradient flows from t = T-1 down to 0.
         for t in (0..seq).rev() {
-            // The per-layer weight-gradient accumulator is read-modify-
-            // written by every timestep's backward cell, so it is inout;
-            // its read edge duplicates the BPTT chain edge (same
-            // predecessor) and dedups away.
-            let mut ins = vec![
-                self.st_fwd[l][t].region,
-                self.dh_fwd[l][t].region,
-                self.grads_fwd[l].region,
-            ];
-            if t + 1 < seq {
-                ins.push(self.sg_fwd[l][t + 1].region);
-            }
-            let outs = vec![
-                self.sg_fwd[l][t].region,
-                self.dinput_f[l][t].region,
-                self.grads_fwd[l].region,
-            ];
-            let weights = self.weights.clone();
-            let st = self.st_fwd[l][t].clone();
-            let dh = self.dh_fwd[l][t].clone();
-            let sg_in = (t + 1 < seq).then(|| self.sg_fwd[l][t + 1].clone());
-            let sg_out = self.sg_fwd[l][t].clone();
-            let dinput = self.dinput_f[l][t].clone();
-            let gacc = self.grads_fwd[l].clone();
-            let rows = self.rows;
-            sink.push(
-                PlanSpec::new("cell_fwd_bwd")
-                    .tag(((l as u64) << 32) | t as u64)
-                    .ins(ins)
-                    .outs(outs)
-                    .working_set(ws)
-                    .body(move || {
-                        let model = weights.snapshot();
-                        let params = &model.layers[l].fwd;
-                        let dh_val = dh
-                            .take()
-                            .unwrap_or_else(|| Matrix::zeros(rows, model.config.hidden_size));
-                        let sg_val = sg_in.as_ref().and_then(|s| s.take());
-                        st.with(|cached| {
-                            let (_, cache) = cached.expect("missing forward cache");
-                            gacc.update(
-                                || params.zeros_like(),
-                                |g| {
-                                    let (dx, sg_prev) =
-                                        params.backward(cache, &dh_val, sg_val.as_ref(), g);
-                                    dinput.put(dx);
-                                    sg_out.put(sg_prev);
-                                },
-                            );
-                        });
-                    }),
-            );
+            self.push_cell_bwd(sink, l, t, true);
         }
-
-        // Reverse-direction BPTT: gradient flows from t = 0 up to T-1.
+        if let Some(b) = &self.barriers {
+            let ins = (0..seq).map(|t| self.sg_fwd[l][t].region).collect();
+            push_barrier(sink, 200 + l as u64, ins, b.bdir[l]);
+        }
         for t in 0..seq {
-            let mut ins = vec![
-                self.st_rev[l][t].region,
-                self.dh_rev[l][t].region,
-                self.grads_rev[l].region,
-            ];
-            if t > 0 {
-                ins.push(self.sg_rev[l][t - 1].region);
-            }
-            let outs = vec![
-                self.sg_rev[l][t].region,
-                self.dinput_r[l][t].region,
-                self.grads_rev[l].region,
-            ];
-            let weights = self.weights.clone();
-            let st = self.st_rev[l][t].clone();
-            let dh = self.dh_rev[l][t].clone();
-            let sg_in = (t > 0).then(|| self.sg_rev[l][t - 1].clone());
-            let sg_out = self.sg_rev[l][t].clone();
-            let dinput = self.dinput_r[l][t].clone();
-            let gacc = self.grads_rev[l].clone();
-            let rows = self.rows;
-            sink.push(
-                PlanSpec::new("cell_rev_bwd")
-                    .tag(((l as u64) << 32) | t as u64)
-                    .ins(ins)
-                    .outs(outs)
-                    .working_set(ws)
-                    .body(move || {
-                        let model = weights.snapshot();
-                        let params = &model.layers[l].rev;
-                        let dh_val = dh
-                            .take()
-                            .unwrap_or_else(|| Matrix::zeros(rows, model.config.hidden_size));
-                        let sg_val = sg_in.as_ref().and_then(|s| s.take());
-                        st.with(|cached| {
-                            let (_, cache) = cached.expect("missing reverse cache");
-                            gacc.update(
-                                || params.zeros_like(),
-                                |g| {
-                                    let (dx, sg_prev) =
-                                        params.backward(cache, &dh_val, sg_val.as_ref(), g);
-                                    dinput.put(dx);
-                                    sg_out.put(sg_prev);
-                                },
-                            );
-                        });
-                    }),
-            );
+            self.push_cell_bwd(sink, l, t, false);
         }
-
         self.submit_merge_bwd_tasks(sink, l);
+        if let Some(b) = &self.barriers {
+            let ins = if l > 0 {
+                (0..seq)
+                    .flat_map(|t| [self.dh_fwd[l - 1][t].region, self.dh_rev[l - 1][t].region])
+                    .collect()
+            } else {
+                (0..seq).map(|t| self.sg_rev[l][t].region).collect()
+            };
+            push_barrier(sink, 300 + l as u64, ins, b.blayer[l]);
+        }
+    }
+
+    /// One BPTT cell of layer `l` at timestep `t` in the forward (`fwd`,
+    /// gradient flowing from `t+1`) or reverse direction (from `t-1`).
+    fn push_cell_bwd(&self, sink: &mut dyn TaskSink, l: usize, t: usize, fwd: bool) {
+        let cfg = self.config;
+        let (st, dh, sg, dinput, gacc, label) = if fwd {
+            let g = &self.grads_fwd[l];
+            (
+                &self.st_fwd[l],
+                &self.dh_fwd[l],
+                &self.sg_fwd[l],
+                &self.dinput_f[l],
+                g,
+                "cell_fwd_bwd",
+            )
+        } else {
+            let g = &self.grads_rev[l];
+            (
+                &self.st_rev[l],
+                &self.dh_rev[l],
+                &self.sg_rev[l],
+                &self.dinput_r[l],
+                g,
+                "cell_rev_bwd",
+            )
+        };
+        let from_t = if fwd {
+            Some(t + 1).filter(|&p| p < self.seq_len())
+        } else {
+            t.checked_sub(1)
+        };
+        let sg_in = from_t.map(|p| sg[p].clone());
+        // The per-layer weight-gradient accumulator is read-modify-written
+        // by every timestep's backward cell, so it is inout; its read edge
+        // duplicates the BPTT chain edge (same predecessor) and dedups away.
+        let mut ins = vec![st[t].region, dh[t].region, gacc.region];
+        if let Some(s) = &sg_in {
+            ins.push(s.region);
+        }
+        if let Some(b) = &self.barriers {
+            // The forward direction waits for the layer above to finish,
+            // the reverse direction for its own layer's forward direction.
+            match (fwd, l + 1 < cfg.layers) {
+                (true, true) => ins.push(b.blayer[l + 1]),
+                (true, false) => {}
+                (false, _) => ins.push(b.bdir[l]),
+            }
+        }
+        let input_w = cfg.layer_input_size(l);
+        let scalar = std::mem::size_of::<T>();
+        let weights = self.weights.clone();
+        let st = st[t].clone();
+        let dh = dh[t].clone();
+        let sg_out = sg[t].clone();
+        let dinput = dinput[t].clone();
+        let gacc = gacc.clone();
+        let rows = self.rows;
+        sink.push(
+            PlanSpec::new(label)
+                .tag(((l as u64) << 32) | t as u64)
+                .ins(ins)
+                .outs([sg_out.region, dinput.region, gacc.region])
+                .flops(cfg.cell.backward_flops(rows, input_w, cfg.hidden_size))
+                .working_set(
+                    cfg.cell
+                        .backward_working_set(rows, input_w, cfg.hidden_size, scalar),
+                )
+                .body(move || {
+                    let model = weights.snapshot();
+                    let params = if fwd {
+                        &model.layers[l].fwd
+                    } else {
+                        &model.layers[l].rev
+                    };
+                    let dh_val = dh
+                        .take()
+                        .unwrap_or_else(|| Matrix::zeros(rows, model.config.hidden_size));
+                    let sg_val = sg_in.as_ref().and_then(|s| s.take());
+                    st.with(|cached| {
+                        let (_, cache) = cached.expect("missing forward-pass cache");
+                        gacc.update(
+                            || params.zeros_like(),
+                            |g| {
+                                let (dx, sg_prev) =
+                                    params.backward(cache, &dh_val, sg_val.as_ref(), g);
+                                dinput.put(dx);
+                                sg_out.put(sg_prev);
+                            },
+                        );
+                    });
+                }),
+        );
     }
 
     /// Merge-backward tasks seeding layer l-1. The layer-input gradient
@@ -1711,6 +1903,7 @@ impl<T: Float> ReplicaGraph<T> {
                         .tag((((l - 1) as u64) << 32) | t as u64)
                         .ins([din_f.region, din_r.region, f.region, r.region])
                         .outs([dhf.region, dhr.region])
+                        .flops(cfg.merge.flops(self.rows, cfg.hidden_size))
                         .body(move || {
                             let mut dmerged = din_f.take().expect("missing fwd dinput");
                             din_r.with(|d| {
@@ -1820,8 +2013,10 @@ impl<T: Float> ReplicaGraph<T> {
     /// into `target` (replica 0), one task per accumulator so reductions
     /// of different layers proceed in parallel (§III-B: "dependencies
     /// enforce gradient synchronization among model replicas").
-    pub fn submit_reduce_into(&self, sink: &mut dyn TaskSink, target: &ReplicaGraph<T>) {
-        for l in 0..self.config.layers {
+    fn submit_reduce_into(&self, sink: &mut dyn TaskSink, target: &ReplicaGraph<T>) {
+        let cfg = self.config;
+        for l in 0..cfg.layers {
+            let grad_size = cfg.cell.params(cfg.layer_input_size(l), cfg.hidden_size) as u64;
             for (mine, theirs, label) in [
                 (&self.grads_fwd[l], &target.grads_fwd[l], "reduce_fwd"),
                 (&self.grads_rev[l], &target.grads_rev[l], "reduce_rev"),
@@ -1836,6 +2031,7 @@ impl<T: Float> ReplicaGraph<T> {
                         .tag(l as u64)
                         .ins([src.region, dst.region])
                         .outs([dst.region])
+                        .flops(grad_size)
                         .body(move || {
                             if let Some(g) = src.take() {
                                 dst.accumulate(g, |acc, g| acc.add_assign(&g));
@@ -1920,15 +2116,16 @@ mod tests {
         let model = tiny();
         let store = Arc::new(WeightStore::for_backend(&model, Backend::scalar()));
         let mut regions = RegionAlloc::default();
-        let xs: Vec<Matrix<f64>> = (0..2).map(|_| Matrix::zeros(4, 3)).collect();
-        let rep = ReplicaGraph::new(
-            store,
-            xs,
-            1.0,
-            &mut regions,
-            Backend::scalar(),
-            RecurrenceStrategy::Chain,
-        );
+        let shape = BatchShape {
+            config: model.config,
+            rows: 4,
+            seq: 2,
+            mbs: 1,
+            backend: Backend::scalar(),
+            strategy: RecurrenceStrategy::Chain,
+            barriers: false,
+        };
+        let rep = ReplicaGraph::new(store, &shape, 4, 1.0, &mut regions);
         let wrong_len: Vec<Matrix<f64>> = vec![Matrix::zeros(4, 3)];
         assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             rep.load_inputs(&wrong_len, 0, 4)

@@ -15,8 +15,9 @@
 //! cumulative build vs replay nanoseconds the `plan_replay` bench turns
 //! into the §IV-B overhead comparison.
 
-use super::builder::{BuildMode, ReplicaGraph, WeightStore};
-use super::taskgraph::TaskGraphExec;
+use super::builder::{
+    build_replicas, submit_batch, BatchShape, BuildMode, RegionAlloc, ReplicaGraph, WeightStore,
+};
 use super::{check_batch, Target};
 use crate::model::{Brnn, BrnnConfig};
 use crate::scanplan::RecurrenceStrategy;
@@ -113,37 +114,21 @@ impl<T: Float> ExecPlan<T> {
         backend: Backend,
         strategy: RecurrenceStrategy,
     ) -> Self {
-        let layers = model.config.layers;
-        let mut regions = super::builder::RegionAlloc::default();
-        let (weights, replicas, chunks) =
-            TaskGraphExec::make_replicas(mbs, model, batch, &mut regions, backend, strategy);
+        let (seq, rows) = check_batch(model, batch);
+        let shape = BatchShape {
+            config: model.config,
+            rows,
+            seq,
+            mbs,
+            backend,
+            strategy,
+            barriers: false,
+        };
+        let weights = Arc::new(WeightStore::for_backend(model, backend));
+        let mut regions = RegionAlloc::default();
+        let (replicas, chunks) = build_replicas(&weights, &shape, &mut regions);
         let mut b = PlanBuilder::new();
-        // Same submission order as the original live path: per replica the
-        // forward layers, the output stage, then (training) the backward
-        // layers deepest-first; finally the cross-replica reductions.
-        for (ri, rep) in replicas.iter().enumerate() {
-            let rep_mode = if ri == 0 { mode } else { BuildMode::Normal };
-            for l in 0..layers {
-                rep.submit_forward_layer_mode(&mut b, l, rep_mode);
-            }
-            rep.submit_output(&mut b, train);
-            if train {
-                for l in (0..layers).rev() {
-                    rep.submit_backward_layer(&mut b, l);
-                }
-            }
-        }
-        if train {
-            for rep in replicas.iter().skip(1) {
-                rep.submit_reduce_into(&mut b, &replicas[0]);
-            }
-        }
-        if mode == BuildMode::CrossEpochRace {
-            // Submitted last so the probe's declared clauses attach no
-            // edges to the classifier chain — the aliasing bug, not a
-            // clause bug, is what makes it racy.
-            replicas[0].submit_epoch_probe(&mut b, &mut regions);
-        }
+        submit_batch(&mut b, &replicas, train, mode, &mut regions);
         let mut compiled = b.compile();
         if mode == BuildMode::DroppedEdge {
             // Surgically remove the write-after-write edge between the

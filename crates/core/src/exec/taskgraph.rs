@@ -18,16 +18,17 @@
 //! Every batch runs through a cached [`ExecPlan`]: the first batch of a
 //! given shape (model config × rows × timesteps × mbs × phase) builds the
 //! replica graphs, deep-copies the weights into a persistent
-//! [`WeightStore`] and compiles the dependency structure once; subsequent
-//! batches of that shape only swap inputs/targets into the existing
-//! replicas and [`bpar_runtime::Runtime::replay`] the frozen graph. In
-//! steady-state serving this removes both per-batch costs the original
+//! [`WeightStore`](super::builder::WeightStore) and compiles the
+//! dependency structure once; subsequent batches of that shape only swap
+//! inputs/targets into the existing replicas and
+//! [`bpar_runtime::Runtime::replay`] the frozen graph. In steady-state
+//! serving this removes both per-batch costs the original
 //! implementation paid: the `O(model)` weight clone and the
 //! dependency-tracker rebuild. Because *every* batch — including the
 //! first — executes via the same load-values-then-replay path, cached
 //! replays are bit-identical to fresh builds by construction.
 
-use super::builder::{RegionAlloc, ReplicaGraph, WeightStore};
+use super::builder::ReplicaGraph;
 use super::plan::{ExecPlan, PlanCache, PlanCacheStats, PlanKey};
 use super::{check_batch, ExecError, Executor, ForwardOutput, Target};
 use crate::model::{Brnn, ModelKind};
@@ -38,14 +39,6 @@ use bpar_tensor::{Backend, BackendKind, Float, Matrix};
 use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Shared weight store + per-chunk replica graphs + `(start, count)`
-/// row ranges, as produced by [`TaskGraphExec::make_replicas`].
-pub(crate) type ReplicaSet<T> = (
-    Arc<WeightStore<T>>,
-    Vec<ReplicaGraph<T>>,
-    Vec<(usize, usize)>,
-);
 
 /// Barrier-free task-graph executor (B-Par).
 pub struct TaskGraphExec {
@@ -159,38 +152,6 @@ impl TaskGraphExec {
     /// Drops every cached plan (counters are kept).
     pub fn clear_plan_cache(&self) {
         self.plans.lock().clear();
-    }
-
-    /// Splits a batch row-wise into up to `mbs` non-empty chunks and
-    /// builds one replica graph per chunk, all sharing one weight store
-    /// seeded from `model`. Returns the store, the replicas, and the
-    /// `(start, count)` row ranges.
-    pub(crate) fn make_replicas<T: Float>(
-        mbs: usize,
-        model: &Brnn<T>,
-        batch: &[Matrix<T>],
-        regions: &mut RegionAlloc,
-        backend: Backend,
-        strategy: RecurrenceStrategy,
-    ) -> ReplicaSet<T> {
-        let (_, rows) = check_batch(model, batch);
-        let weights = Arc::new(WeightStore::for_backend(model, backend));
-        let chunks = row_chunks(rows, mbs);
-        let replicas = chunks
-            .iter()
-            .map(|&(start, count)| {
-                let xs: Vec<Matrix<T>> = batch.iter().map(|x| x.row_block(start, count)).collect();
-                ReplicaGraph::new(
-                    weights.clone(),
-                    xs,
-                    count as f64 / rows as f64,
-                    regions,
-                    backend,
-                    strategy,
-                )
-            })
-            .collect();
-        (weights, replicas, chunks)
     }
 
     /// Fetches (or builds and caches) the plan for `batch`'s shape under

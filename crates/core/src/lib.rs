@@ -26,9 +26,10 @@
 //!   [`exec::BarrierExec`] (per-layer barriers, the Keras/PyTorch execution
 //!   discipline), [`exec::BSeqExec`] (data-parallelism only, the paper's
 //!   B-Seq baseline).
-//! * [`graphgen`] — static task-graph generation (with flop/byte
-//!   annotations) consumed by the `bpar-sim` multi-core simulator and by
-//!   graph-shape tests against the paper's Fig. 2.
+//! * [`graphgen`] — the executors' task stream as a static graph (with
+//!   flop/byte annotations, built without weights or inputs) consumed by
+//!   the `bpar-sim` multi-core simulator and by graph-shape tests against
+//!   the paper's Fig. 2.
 //! * [`optim`] / [`train`] — SGD/momentum/Adam (plus gradient clipping and
 //!   learning-rate schedules) and the batch training loop, including
 //!   `mbs:N` mini-batch data parallelism.

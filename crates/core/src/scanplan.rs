@@ -13,14 +13,12 @@
 //!
 //! This module computes only the *shape* of that tree: which transfers
 //! combine, in which order, and which combine output (or raw chunk total)
-//! is each chunk's exclusive prefix. Two consumers interpret the shape:
-//!
-//! * `exec/builder.rs` materialises one task per chunk-local sweep,
-//!   per combine node and per fix-up, with real dependency clauses;
-//! * `graphgen.rs` emits the same topology as simulator
-//!   [`crate::graphgen::TaskNode`]s, so bpar-sim's crossover prediction
-//!   and bpar-verify's closed-form counts describe exactly the graph the
-//!   executors run.
+//! is each chunk's exclusive prefix. `exec/builder.rs` materialises one
+//! task per chunk-local sweep, per combine node and per fix-up, with real
+//! dependency clauses — and since the simulator's graphs come from the
+//! same builder (`graphgen`), bpar-sim's crossover prediction describes
+//! exactly the graph the executors run; bpar-verify's closed-form counts
+//! check it independently.
 //!
 //! The construction never materialises the identity transfer: the first
 //! chunk's prefix is `Identity` (no fix-up task at all), and

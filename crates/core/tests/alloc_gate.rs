@@ -1,6 +1,7 @@
 //! Steady-state allocation gate: a warm, replayed inference plan must run
 //! an entire batch — input copy-in, every cell/merge/dense task, logit
-//! collection — without touching the heap allocator once.
+//! collection — without touching the heap allocator once. It also bounds
+//! what building a simulator graph allocates: no weights, no inputs.
 //!
 //! The whole file is compiled only with the `count-alloc` feature (the CI
 //! `alloc-gate` job runs `cargo test -p bpar-core --features count-alloc
@@ -13,6 +14,7 @@
 
 use bpar_core::cell::CellKind;
 use bpar_core::exec::{Executor, ForwardOutput, SequentialExec, TaskGraphExec};
+use bpar_core::graphgen::{build_graph, GraphSpec};
 use bpar_core::merge::MergeMode;
 use bpar_core::model::{Brnn, BrnnConfig, ModelKind};
 use bpar_core::scanplan::RecurrenceStrategy;
@@ -237,5 +239,37 @@ fn warm_replayed_inference_batches_allocate_nothing() {
         BackendKind::Simd,
         3,
         1e-4,
+    );
+
+    shape_only_graph_allocates_no_weights_or_inputs();
+}
+
+/// The simulator's graphs come from the executors' own builder, over
+/// shape-only replicas: building the largest paper model's graph (a
+/// 6-layer 1024/1024 BLSTM, ~100M parameters) must allocate neither its
+/// weights nor an input batch.
+fn shape_only_graph_allocates_no_weights_or_inputs() {
+    let cfg = BrnnConfig {
+        cell: CellKind::Lstm,
+        input_size: 1024,
+        hidden_size: 1024,
+        layers: 6,
+        seq_len: 50,
+        output_size: 11,
+        merge: MergeMode::Sum,
+        kind: ModelKind::ManyToOne,
+    };
+    let rows = 64;
+    let weight_bytes: usize = (0..cfg.layers)
+        .map(|l| 2 * cfg.cell.params(cfg.layer_input_size(l), cfg.hidden_size) * 4)
+        .sum();
+    let input_bytes = cfg.seq_len * rows * cfg.input_size * 4;
+    let before = bytes_allocated();
+    let g = build_graph(&GraphSpec::training(cfg, rows).with_mbs(2));
+    let bytes = bytes_allocated() - before;
+    assert_eq!(g.count_label("cell_fwd"), 2 * cfg.layers * cfg.seq_len);
+    assert!(
+        bytes < input_bytes.min(weight_bytes) as u64,
+        "building the graph allocated {bytes} bytes (inputs {input_bytes}, weights {weight_bytes})"
     );
 }

@@ -54,6 +54,9 @@ pub struct PlanSpec {
     pub outs: Vec<RegionId>,
     /// Approximate bytes the task touches (working-set accounting).
     pub working_set_bytes: usize,
+    /// Floating-point operations the task performs — the cost-model
+    /// input a static [`crate::graph::TaskNode`] carries; replays ignore it.
+    pub flops: u64,
     /// The re-runnable sequential body.
     pub body: Option<PlanBody>,
 }
@@ -67,6 +70,7 @@ impl PlanSpec {
             ins: Vec::new(),
             outs: Vec::new(),
             working_set_bytes: 0,
+            flops: 0,
             body: None,
         }
     }
@@ -95,6 +99,12 @@ impl PlanSpec {
         self
     }
 
+    /// Records the task's floating-point operation count.
+    pub fn flops(mut self, flops: u64) -> Self {
+        self.flops = flops;
+        self
+    }
+
     /// Sets the re-runnable body.
     pub fn body(mut self, f: impl Fn() + Send + Sync + 'static) -> Self {
         self.body = Some(Arc::new(f));
@@ -110,6 +120,7 @@ impl std::fmt::Debug for PlanSpec {
             .field("ins", &self.ins)
             .field("outs", &self.outs)
             .field("working_set_bytes", &self.working_set_bytes)
+            .field("flops", &self.flops)
             .field("has_body", &self.body.is_some())
             .finish()
     }

@@ -181,16 +181,7 @@ fn dispatch(graph: &TaskGraph, cfg: &SimConfig, now: f64, st: &mut State) {
 /// *not* applied here: synthetic benchmark graphs legitimately contain
 /// both.
 pub fn preflight(graph: &TaskGraph) -> Vec<bpar_verify::Finding> {
-    let view = bpar_verify::GraphView::from_graph(graph);
-    bpar_verify::run_lints(&view, &bpar_verify::default_region_name)
-        .into_iter()
-        .filter(|f| {
-            matches!(
-                f.check.as_str(),
-                "backward-edge" | "mirror-mismatch" | "duplicate-edge"
-            )
-        })
-        .collect()
+    bpar_verify::run_edge_lints(&bpar_verify::GraphView::from_graph(graph))
 }
 
 /// Replays `graph` on the simulated machine; returns per-task placements

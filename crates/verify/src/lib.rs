@@ -58,7 +58,7 @@ pub use clauses::validate_clauses;
 pub use explore::{explore_schedules, ExploreBudget, ExploreStats, ReplayOutcome};
 pub use fingerprint::Fnv64;
 pub use hb::check_happens_before;
-pub use lints::{collect_metrics, run_lints};
+pub use lints::{collect_metrics, run_edge_lints, run_lints};
 pub use locks::check_lock_discipline;
 pub use report::{
     code_for, sort_findings, AnalysisReport, Finding, GraphMetrics, GraphReport, Severity,

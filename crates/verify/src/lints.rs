@@ -35,12 +35,20 @@ use std::collections::{HashMap, HashSet};
 /// sort via [`crate::report::GraphReport::new`]). `region_name` renders a
 /// region id as a human-readable coordinate.
 pub fn run_lints(view: &GraphView, region_name: &dyn Fn(RegionId) -> String) -> Vec<Finding> {
+    let mut findings = run_edge_lints(view);
+    lint_dead_writes(view, region_name, &mut findings);
+    lint_isolated_tasks(view, &mut findings);
+    findings
+}
+
+/// Runs only the edge-structure lints (`backward-edge`,
+/// `mirror-mismatch`, `duplicate-edge`): the invariants a scheduler's
+/// ready counters rely on, independent of what the clauses mean.
+pub fn run_edge_lints(view: &GraphView) -> Vec<Finding> {
     let mut findings = Vec::new();
     lint_backward_edges(view, &mut findings);
     lint_mirror(view, &mut findings);
     lint_duplicate_edges(view, &mut findings);
-    lint_dead_writes(view, region_name, &mut findings);
-    lint_isolated_tasks(view, &mut findings);
     findings
 }
 

@@ -2,6 +2,11 @@
 //! the static generated graph (`graphgen`), the live executor's task
 //! stream, and the simulator's replay. The scaling experiments are only
 //! meaningful if all three agree on structure.
+//!
+//! The checks here go through the public API (label histograms of the
+//! live trace). The stricter edge-for-edge comparison of the simulated
+//! graph with the crate-private compiled plan lives in `bpar-core`
+//! (`graphgen::live_agreement_tests`).
 
 use bpar_core::graphgen::{build_graph, GraphSpec};
 use bpar_core::prelude::*;
