@@ -16,7 +16,7 @@
 //!                   [--replicas N] [--routing hash|least-loaded]
 //!                   [--hedge-mode off|at-dispatch|deadline] [--hedge-quantile Q]
 //!                   [--tenants FILE] [--plan-budget-kib N] [--pool-budget-kib N]
-//!                   [--backend scalar|simd|int8]
+//!                   [--backend scalar|simd]
 //!                   [--scheduler fifo|locality|work-stealing]
 //!                   [--recurrence chain|scan|scan:N]
 //!                                                 dynamic-batching inference serving
@@ -104,7 +104,7 @@ USAGE:
                     [--replicas N] [--routing hash|least-loaded]
                     [--hedge-mode off|at-dispatch|deadline] [--hedge-quantile Q]
                     [--tenants FILE] [--plan-budget-kib N] [--pool-budget-kib N]
-                    [--backend scalar|simd|int8]
+                    [--backend scalar|simd]
                     [--scheduler fifo|locality|work-stealing]
                     [--recurrence chain|scan|scan:N]
   bpar analyze      [--layers N] [--hidden N] [--seq N] [--batch N] [--mbs N]
@@ -548,7 +548,7 @@ fn serve_cmd(opts: &Flags) -> Result<(), String> {
     let backend = {
         let name = opts.get("backend").map(String::as_str).unwrap_or("scalar");
         bpar_tensor::BackendKind::parse(name)
-            .ok_or_else(|| format!("--backend expects scalar|simd|int8, got `{name}`"))?
+            .ok_or_else(|| format!("--backend expects scalar|simd, got `{name}`"))?
     };
     let cfg = ServeConfig {
         queue_capacity: get_usize(opts, "queue-cap", 64)?,

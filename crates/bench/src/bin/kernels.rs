@@ -1,14 +1,11 @@
 //! Kernel-backend throughput: GFLOP/s of the three GEMM variants at RNN
-//! task shapes, per [`Backend`] (scalar reference, runtime-detected SIMD,
-//! int8 quantized inference).
+//! task shapes, per [`Backend`] (scalar reference and runtime-detected
+//! SIMD).
 //!
 //! The shapes are the fused LSTM gate products `(batch × (input+hidden)) ·
 //! ((input+hidden) × 4·hidden)` at the model scales of Tables III/IV, plus
 //! an `m = 1` serving shape where the GEMM degenerates to a matrix-vector
-//! product. Int8 rows report *effective* GFLOP/s — the f32 FLOP count of
-//! the equivalent exact GEMM divided by wall time, i.e. "how much f32 work
-//! this path replaces per second" (its inner loop does integer dot
-//! products plus quantize/dequantize passes).
+//! product.
 //!
 //! When the SIMD backend is actually vectorized on this machine
 //! (`Backend::simd().simd_active()`), the binary *asserts* a ≥ 2× geomean
@@ -23,7 +20,7 @@
 //!    for the SIMD rows to be meaningful)
 
 use bpar_bench::{print_table, write_json};
-use bpar_tensor::{init, Backend, BackendKind, Matrix, Workspace};
+use bpar_tensor::{init, Backend, BackendKind, Matrix};
 use serde::Serialize;
 use std::hint::black_box;
 use std::time::Instant;
@@ -95,26 +92,14 @@ fn main() {
         let bt: Matrix<f32> = init::uniform(n, k, -1.0, 1.0, SEED + 2);
         let at: Matrix<f32> = init::uniform(k, m, -1.0, 1.0, SEED + 3);
         let mut c: Matrix<f32> = Matrix::zeros(m, n);
-        let mut ws: Workspace<f32> = Workspace::new();
         let flops = 2.0 * m as f64 * k as f64 * n as f64;
 
         for kind in BackendKind::all() {
             let be = Backend::of(kind);
-            // Warm the int8 quantization scratch outside the timed region.
-            be.gemm(1.0f32, &a, &b, 0.0, &mut c, &mut ws);
-
-            // The int8 path only specializes the forward NN product; its
-            // nt/tn variants delegate to scalar and would report duplicate
-            // rows.
-            let ops: &[&'static str] = if kind == BackendKind::Int8 {
-                &["gemm_nn"]
-            } else {
-                &["gemm_nn", "gemm_nt", "gemm_tn"]
-            };
-            for &op in ops {
+            for op in ["gemm_nn", "gemm_nt", "gemm_tn"] {
                 let (gflops, iters) = match op {
                     "gemm_nn" => time_gflops(flops, || {
-                        be.gemm(1.0f32, black_box(&a), black_box(&b), 0.0, &mut c, &mut ws);
+                        be.gemm(1.0f32, black_box(&a), black_box(&b), 0.0, &mut c);
                         black_box(c.get(0, 0));
                     }),
                     "gemm_nt" => time_gflops(flops, || {

@@ -555,7 +555,7 @@ fn fuzz_plan<T: Float>(
 
 /// FNV-1a digest of everything a run produces: logits for inference, loss
 /// plus every gradient matrix for training. Consumes the plan's output
-/// slots (the caller scrubs afterwards anyway).
+/// slots (the caller clears the plan afterwards anyway).
 fn fingerprint_outputs<T: Float>(plan: &ExecPlan<T>, model: &Brnn<T>, train: bool) -> String {
     let mut h = Fnv64::new();
     if train {

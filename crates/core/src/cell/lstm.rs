@@ -99,43 +99,18 @@ impl<T: Float> LstmParams<T> {
     }
 
     /// Forward update (Eqs. 1–6). `x` is `batch × input`; `prev` must hold
-    /// both `H_{t-1}` and `C_{t-1}`.
-    ///
-    /// Thin allocating wrapper over [`LstmParams::forward_ws`] — fresh
-    /// state and cache buffers per call, kept as the oracle-test surface.
-    pub fn forward(&self, x: &Matrix<T>, prev: &CellState<T>) -> (CellState<T>, LstmCache<T>) {
-        let batch = x.rows();
-        let mut state = CellState {
-            h: Matrix::zeros(batch, self.hidden),
-            c: Some(Matrix::zeros(batch, self.hidden)),
-        };
-        let mut cache = LstmCache::zeros(batch, self.input, self.hidden);
-        self.forward_ws(
-            x,
-            prev,
-            &mut state,
-            &mut cache,
-            &mut Workspace::new(),
-            Backend::scalar(),
-        );
-        (state, cache)
-    }
-
-    /// Allocation-free forward update: every result is written into the
-    /// caller-provided `state`/`cache` buffers (see [`LstmCache::zeros`]).
-    /// The gate GEMM and bias broadcast dispatch through `be`; `ws` only
-    /// supplies the int8 backend's quantization scratch.
-    ///
-    /// With the scalar backend this performs exactly the same kernel calls
-    /// in the same order on the same values as the allocating wrapper, so
-    /// outputs are bit-identical.
+    /// both `H_{t-1}` and `C_{t-1}`. Every result is written into the
+    /// caller-provided `state`/`cache` buffers (see [`LstmCache::zeros`]);
+    /// the gate GEMM and bias broadcast dispatch through `be`. The gate
+    /// block lives in the cache, so this cell draws no scratch from the
+    /// workspace (the argument keeps one signature across cells).
     pub fn forward_ws(
         &self,
         x: &Matrix<T>,
         prev: &CellState<T>,
         state: &mut CellState<T>,
         cache: &mut LstmCache<T>,
-        ws: &mut Workspace<T>,
+        _ws: &mut Workspace<T>,
         be: Backend,
     ) {
         let batch = x.rows();
@@ -147,7 +122,7 @@ impl<T: Float> LstmParams<T> {
         // Z = [X_t, H_{t-1}]
         Matrix::hstack_into(&[x, &prev.h], &mut cache.z);
         // G = Z W + b
-        be.gemm(T::ONE, &cache.z, &self.w, T::ZERO, &mut cache.gates, ws);
+        be.gemm(T::ONE, &cache.z, &self.w, T::ZERO, &mut cache.gates);
         be.add_bias(&mut cache.gates, &self.b);
         // Nonlinearities per block: σ on i,f,o; tanh on g.
         lstm_gate_nonlinearities(&mut cache.gates, h);
@@ -192,38 +167,9 @@ impl<T: Float> LstmParams<T> {
     ///   recurrence and `dc`), or `None` at the end of the direction,
     /// * `grads` — layer-level accumulator receiving `dW`, `dB`.
     ///
-    /// Returns `(dx, state_grad_for_t_minus_1)`.
-    pub fn backward(
-        &self,
-        cache: &LstmCache<T>,
-        dh: &Matrix<T>,
-        dstate: Option<&StateGrad<T>>,
-        grads: &mut LstmParams<T>,
-    ) -> (Matrix<T>, StateGrad<T>) {
-        let batch = dh.rows();
-        let mut dx = Matrix::zeros(batch, self.input);
-        let mut dprev = StateGrad {
-            dh: Matrix::zeros(batch, self.hidden),
-            dc: Some(Matrix::zeros(batch, self.hidden)),
-        };
-        self.backward_ws(
-            cache,
-            dh,
-            dstate,
-            grads,
-            &mut dx,
-            &mut dprev,
-            &mut Workspace::new(),
-            Backend::scalar(),
-        );
-        (dx, dprev)
-    }
-
-    /// Allocation-free backward update: `dx` and `dprev` are caller-provided
-    /// output buffers (fully overwritten), transient scratch comes from `ws`
-    /// and the GEMM kernels dispatch through `be`. With the scalar backend:
-    /// same kernel calls, same order, same values as
-    /// [`LstmParams::backward`] ⇒ bit-identical gradients.
+    /// `dx` and the state gradient for t-1, `dprev`, are caller-provided
+    /// output buffers (fully overwritten); transient scratch comes from
+    /// `ws` and the GEMM kernels dispatch through `be`.
     #[allow(clippy::too_many_arguments)]
     pub fn backward_ws(
         &self,
@@ -339,6 +285,7 @@ pub fn lstm_gate_nonlinearities<T: Float>(gates: &mut Matrix<T>, hidden: usize) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cell::fresh::{assert_dirty_reuse_matches_fresh, backward, forward};
     use crate::cell::{CellKind, CellState};
     use bpar_tensor::ops::add_bias;
 
@@ -353,7 +300,7 @@ mod tests {
     fn forward_shapes() {
         let p: LstmParams<f64> = LstmParams::init(3, 5, 0);
         let x = init::uniform(2, 3, -1.0, 1.0, 7);
-        let (st, cache) = p.forward(&x, &CellState::zeros(CellKind::Lstm, 2, 5));
+        let (st, cache) = forward(&p, &x, &CellState::zeros(CellKind::Lstm, 2, 5));
         assert_eq!(st.h.shape(), (2, 5));
         assert_eq!(st.c.as_ref().unwrap().shape(), (2, 5));
         assert_eq!(cache.z.shape(), (2, 8));
@@ -372,7 +319,7 @@ mod tests {
             h: Matrix::from_vec(1, 1, vec![0.25]),
             c: Some(Matrix::from_vec(1, 1, vec![-0.4])),
         };
-        let (st, _) = p.forward(&x, &prev);
+        let (st, _) = forward(&p, &x, &prev);
 
         let zi = 0.7 * 0.5 + 0.25 * 0.2 + 0.1;
         let zf = 0.7 * -0.3 + 0.25 * 0.4 + 0.2;
@@ -399,7 +346,7 @@ mod tests {
         // |H_t| ≤ 1 because H = σ(·)·tanh(·).
         let p: LstmParams<f64> = LstmParams::init(4, 8, 3);
         let x = init::uniform(5, 4, -10.0, 10.0, 9);
-        let (st, _) = p.forward(&x, &state(5, 8, 11));
+        let (st, _) = forward(&p, &x, &state(5, 8, 11));
         assert!(st.h.as_slice().iter().all(|v| v.abs() <= 1.0));
     }
 
@@ -416,20 +363,20 @@ mod tests {
         let s_c = init::uniform(batch, hidden, -1.0, 1.0, 9);
 
         let loss = |p: &LstmParams<f64>, x: &Matrix<f64>, prev: &CellState<f64>| -> f64 {
-            let (st, _) = p.forward(x, prev);
+            let (st, _) = forward(p, x, prev);
             bpar_tensor::ops::dot(&s_h, &st.h).to_f64()
                 + bpar_tensor::ops::dot(&s_c, st.c.as_ref().unwrap()).to_f64()
         };
 
         // Analytic gradients: dh = s_h, recurrent dc = s_c.
-        let (st, cache) = p.forward(&x, &prev);
+        let (st, cache) = forward(&p, &x, &prev);
         let _ = st;
         let mut grads = p.zeros_like();
         let dstate = StateGrad {
             dh: Matrix::zeros(batch, hidden),
             dc: Some(s_c.clone()),
         };
-        let (dx, sg_prev) = p.backward(&cache, &s_h, Some(&dstate), &mut grads);
+        let (dx, sg_prev) = backward(&p, &cache, &s_h, Some(&dstate), &mut grads);
 
         let eps = 1e-6;
         // Check dW entries (sampled).
@@ -505,7 +452,7 @@ mod tests {
         let p: LstmParams<f64> = LstmParams::init(input, hidden, 21);
         let x = init::uniform(batch, input, -1.0, 1.0, 22);
         let prev = state(batch, hidden, 23);
-        let (st, cache) = p.forward(&x, &prev);
+        let (st, cache) = forward(&p, &x, &prev);
 
         // Oracle gates: Z W + b via the naive triple loop, then the
         // shared nonlinearity helper.
@@ -549,65 +496,13 @@ mod tests {
         }
     }
 
-    /// The `_ws` paths must stay bit-identical to the allocating paths
-    /// while persistent buffers and the scratch pool are reused across
-    /// calls (steady-state replay conditions).
+    /// Dirty reused state/cache/gradient buffers and a reused scratch
+    /// pool (the task graph's steady state) reproduce the fresh-buffer
+    /// outputs and gradients bit for bit.
     #[test]
     fn ws_paths_match_allocating_paths_bitwise_with_reuse() {
-        let batch = 2;
-        let (input, hidden) = (3, 4);
-        let p: LstmParams<f64> = LstmParams::init(input, hidden, 25);
-        let x = init::uniform(batch, input, -1.0, 1.0, 26);
-        let prev = state(batch, hidden, 27);
-        let dh = init::uniform(batch, hidden, -1.0, 1.0, 29);
-
-        let (st_ref, cache_ref) = p.forward(&x, &prev);
-        let mut grads_ref = p.zeros_like();
-        let (dx_ref, sg_ref) = p.backward(&cache_ref, &dh, None, &mut grads_ref);
-
-        let mut ws = Workspace::new();
-        let mut st = CellState::zeros(CellKind::Lstm, batch, hidden);
-        let mut cache = LstmCache::zeros(batch, input, hidden);
-        let mut dx = Matrix::zeros(batch, input);
-        let mut dprev = StateGrad {
-            dh: Matrix::zeros(batch, hidden),
-            dc: Some(Matrix::zeros(batch, hidden)),
-        };
-        for _ in 0..3 {
-            p.forward_ws(&x, &prev, &mut st, &mut cache, &mut ws, Backend::scalar());
-            for (a, b) in st.h.as_slice().iter().zip(st_ref.h.as_slice()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "H_t drifted");
-            }
-            let (c, c_ref) = (st.c.as_ref().unwrap(), st_ref.c.as_ref().unwrap());
-            for (a, b) in c.as_slice().iter().zip(c_ref.as_slice()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "C_t drifted");
-            }
-            let mut grads = p.zeros_like();
-            p.backward_ws(
-                &cache,
-                &dh,
-                None,
-                &mut grads,
-                &mut dx,
-                &mut dprev,
-                &mut ws,
-                Backend::scalar(),
-            );
-            for (a, b) in dx.as_slice().iter().zip(dx_ref.as_slice()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "dX drifted");
-            }
-            for (a, b) in dprev.dh.as_slice().iter().zip(sg_ref.dh.as_slice()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "dH_prev drifted");
-            }
-            let (dc, dc_ref) = (dprev.dc.as_ref().unwrap(), sg_ref.dc.as_ref().unwrap());
-            for (a, b) in dc.as_slice().iter().zip(dc_ref.as_slice()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "dC_prev drifted");
-            }
-            for (a, b) in grads.w.as_slice().iter().zip(grads_ref.w.as_slice()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "dW drifted");
-            }
-        }
-        assert!(ws.stats().reuses > 0, "scratch pool was never reused");
+        let p: LstmParams<f64> = LstmParams::init(3, 4, 25);
+        assert_dirty_reuse_matches_fresh(&p, 2, 26);
     }
 
     #[test]
@@ -615,12 +510,12 @@ mod tests {
         let p: LstmParams<f64> = LstmParams::init(2, 3, 1);
         let x = init::uniform(1, 2, -1.0, 1.0, 2);
         let prev = state(1, 3, 3);
-        let (_, cache) = p.forward(&x, &prev);
+        let (_, cache) = forward(&p, &x, &prev);
         let dh = init::uniform(1, 3, -1.0, 1.0, 4);
         let mut grads = p.zeros_like();
-        p.backward(&cache, &dh, None, &mut grads);
+        backward(&p, &cache, &dh, None, &mut grads);
         let first = grads.w.clone();
-        p.backward(&cache, &dh, None, &mut grads);
+        backward(&p, &cache, &dh, None, &mut grads);
         // Second call doubles the accumulator.
         let mut doubled = first.clone();
         bpar_tensor::ops::scale(2.0, &mut doubled);

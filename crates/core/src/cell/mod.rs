@@ -253,33 +253,10 @@ impl<T: Float> CellParams<T> {
     }
 
     /// Forward cell update: consumes `x` (`batch × input`) and the previous
-    /// state, returns the new state and the cache needed by BPTT.
-    pub fn forward(&self, x: &Matrix<T>, prev: &CellState<T>) -> (CellState<T>, CellCache<T>) {
-        match self {
-            CellParams::Lstm(p) => {
-                let (st, cache) = p.forward(x, prev);
-                (st, CellCache::Lstm(cache))
-            }
-            CellParams::Gru(p) => {
-                let (st, cache) = p.forward(x, prev);
-                (st, CellCache::Gru(cache))
-            }
-            CellParams::Vanilla(p) => {
-                let (st, cache) = p.forward(x, prev);
-                (st, CellCache::Vanilla(cache))
-            }
-            CellParams::Linear(p) => {
-                let (st, cache) = p.forward(x, prev);
-                (st, CellCache::Linear(cache))
-            }
-        }
-    }
-
-    /// Allocation-free forward cell update: writes into caller-provided
-    /// `state` and `cache` buffers (see [`CellCache::zeros`]), drawing any
-    /// transient scratch from `ws`. The cell's GEMM and bias kernels
-    /// dispatch through `be`; with [`Backend::scalar`] this is bit-identical
-    /// to [`CellParams::forward`].
+    /// state, and writes the new state and the cache BPTT needs into
+    /// caller-provided `state` and `cache` buffers (see [`CellCache::zeros`]),
+    /// fully overwriting them; transient scratch comes from `ws`. The cell's
+    /// GEMM and bias kernels dispatch through `be`.
     pub fn forward_ws(
         &self,
         x: &Matrix<T>,
@@ -309,36 +286,10 @@ impl<T: Float> CellParams<T> {
     ///   the t+1 cell of the same direction (`dh_rec` plus `dc` for LSTM);
     ///   pass `None` for the last cell of the direction.
     ///
-    /// Returns `(dx, dstate_prev, grads)` where `dstate_prev` flows to the
-    /// t-1 cell and `grads` accumulates into the layer's shared weights.
-    pub fn backward(
-        &self,
-        cache: &CellCache<T>,
-        dh: &Matrix<T>,
-        dstate: Option<&StateGrad<T>>,
-        grads: &mut CellParams<T>,
-    ) -> (Matrix<T>, StateGrad<T>) {
-        match (self, cache, grads) {
-            (CellParams::Lstm(p), CellCache::Lstm(c), CellParams::Lstm(g)) => {
-                p.backward(c, dh, dstate, g)
-            }
-            (CellParams::Gru(p), CellCache::Gru(c), CellParams::Gru(g)) => {
-                p.backward(c, dh, dstate, g)
-            }
-            (CellParams::Vanilla(p), CellCache::Vanilla(c), CellParams::Vanilla(g)) => {
-                p.backward(c, dh, dstate, g)
-            }
-            (CellParams::Linear(p), CellCache::Linear(c), CellParams::Linear(g)) => {
-                p.backward(c, dh, dstate, g)
-            }
-            _ => panic!("cell kind mismatch between params, cache and grads"),
-        }
-    }
-
-    /// Allocation-free backward cell update: `dx`/`dprev` are caller-provided
-    /// output buffers (fully overwritten), scratch comes from `ws` and the
-    /// GEMM kernels dispatch through `be`. With [`Backend::scalar`] this is
-    /// bit-identical to [`CellParams::backward`].
+    /// Writes `dx` and `dprev` — the state gradient flowing to the t-1
+    /// cell — into caller-provided buffers (fully overwritten) and
+    /// accumulates the weight gradients into `grads`. Scratch comes from
+    /// `ws` and the GEMM kernels dispatch through `be`.
     #[allow(clippy::too_many_arguments)]
     pub fn backward_ws(
         &self,
@@ -399,22 +350,6 @@ impl<T: Float> CellParams<T> {
         }
     }
 
-    /// Visits every *weight* matrix (GEMM operands; biases excluded —
-    /// they are broadcast-added, never multiplied). Used by the int8
-    /// backend's weight-quantization pass at weight-store sync time.
-    pub fn for_each_weight_mut(&mut self, f: &mut impl FnMut(&mut Matrix<T>)) {
-        match self {
-            CellParams::Lstm(p) => f(&mut p.w),
-            CellParams::Gru(p) => {
-                f(&mut p.wzr);
-                f(&mut p.wh);
-            }
-            CellParams::Vanilla(p) => f(&mut p.w),
-            // λ and the bias are broadcast operands, never GEMM inputs.
-            CellParams::Linear(p) => f(&mut p.w),
-        }
-    }
-
     /// Adds `other`'s parameters into `self` (gradient reduction across
     /// mini-batch replicas, §III-B data parallelism).
     pub fn add_assign(&mut self, other: &CellParams<T>) {
@@ -462,6 +397,219 @@ impl<T: Float> StateGrad<T> {
                 CellKind::Gru | CellKind::Vanilla | CellKind::Linear => None,
             },
         }
+    }
+}
+
+/// Test-only access to the cells' `_ws` kernels with fresh buffers and the
+/// scalar backend — the calls [`crate::exec::SequentialExec`] makes — so
+/// the per-cell unit tests share one forward/backward surface and one
+/// buffer-reuse check.
+#[cfg(test)]
+pub(crate) mod fresh {
+    use super::gru::GruCache;
+    use super::linear::LinearCache;
+    use super::lstm::LstmCache;
+    use super::vanilla::VanillaCache;
+    use super::*;
+    use bpar_tensor::init;
+
+    /// The typed `_ws` kernel surface of one cell kind.
+    pub(crate) trait WsCell<T: Float> {
+        /// The cell's BPTT cache type.
+        type Cache;
+        fn cell_kind(&self) -> CellKind;
+        /// `(input, hidden)` widths.
+        fn dims(&self) -> (usize, usize);
+        fn fresh_cache(&self, batch: usize) -> Self::Cache;
+        fn zero_grads(&self) -> Self;
+        /// Every parameter (or gradient) matrix, in a fixed order.
+        fn mats(&self) -> Vec<&Matrix<T>>;
+        fn fwd(
+            &self,
+            x: &Matrix<T>,
+            prev: &CellState<T>,
+            state: &mut CellState<T>,
+            cache: &mut Self::Cache,
+            ws: &mut Workspace<T>,
+        );
+        #[allow(clippy::too_many_arguments)]
+        fn bwd(
+            &self,
+            cache: &Self::Cache,
+            dh: &Matrix<T>,
+            dstate: Option<&StateGrad<T>>,
+            grads: &mut Self,
+            dx: &mut Matrix<T>,
+            dprev: &mut StateGrad<T>,
+            ws: &mut Workspace<T>,
+        );
+    }
+
+    macro_rules! ws_cell {
+        ($params:ident, $cache:ident, $kind:ident, [$($m:ident),+]) => {
+            impl<T: Float> WsCell<T> for $params<T> {
+                type Cache = $cache<T>;
+                fn cell_kind(&self) -> CellKind {
+                    CellKind::$kind
+                }
+                fn dims(&self) -> (usize, usize) {
+                    (self.input, self.hidden)
+                }
+                fn fresh_cache(&self, batch: usize) -> Self::Cache {
+                    $cache::zeros(batch, self.input, self.hidden)
+                }
+                fn zero_grads(&self) -> Self {
+                    self.zeros_like()
+                }
+                fn mats(&self) -> Vec<&Matrix<T>> {
+                    vec![$(&self.$m),+]
+                }
+                fn fwd(
+                    &self,
+                    x: &Matrix<T>,
+                    prev: &CellState<T>,
+                    state: &mut CellState<T>,
+                    cache: &mut Self::Cache,
+                    ws: &mut Workspace<T>,
+                ) {
+                    self.forward_ws(x, prev, state, cache, ws, Backend::scalar());
+                }
+                fn bwd(
+                    &self,
+                    cache: &Self::Cache,
+                    dh: &Matrix<T>,
+                    dstate: Option<&StateGrad<T>>,
+                    grads: &mut Self,
+                    dx: &mut Matrix<T>,
+                    dprev: &mut StateGrad<T>,
+                    ws: &mut Workspace<T>,
+                ) {
+                    self.backward_ws(cache, dh, dstate, grads, dx, dprev, ws, Backend::scalar());
+                }
+            }
+        };
+    }
+    ws_cell!(LstmParams, LstmCache, Lstm, [w, b]);
+    ws_cell!(GruParams, GruCache, Gru, [wzr, bzr, wh, bh]);
+    ws_cell!(VanillaParams, VanillaCache, Vanilla, [w, b]);
+    ws_cell!(LinearParams, LinearCache, Linear, [w, lambda, b]);
+
+    /// Forward update into fresh buffers.
+    pub(crate) fn forward<T: Float, C: WsCell<T>>(
+        p: &C,
+        x: &Matrix<T>,
+        prev: &CellState<T>,
+    ) -> (CellState<T>, C::Cache) {
+        let mut state = CellState::zeros(p.cell_kind(), x.rows(), p.dims().1);
+        let mut cache = p.fresh_cache(x.rows());
+        p.fwd(x, prev, &mut state, &mut cache, &mut Workspace::new());
+        (state, cache)
+    }
+
+    /// Backward update into fresh buffers, accumulating into `grads`;
+    /// returns `(dx, dstate_prev)`.
+    pub(crate) fn backward<T: Float, C: WsCell<T>>(
+        p: &C,
+        cache: &C::Cache,
+        dh: &Matrix<T>,
+        dstate: Option<&StateGrad<T>>,
+        grads: &mut C,
+    ) -> (Matrix<T>, StateGrad<T>) {
+        let (input, hidden) = p.dims();
+        let mut dx = Matrix::zeros(dh.rows(), input);
+        let mut dprev = StateGrad::zeros(p.cell_kind(), dh.rows(), hidden);
+        p.bwd(
+            cache,
+            dh,
+            dstate,
+            grads,
+            &mut dx,
+            &mut dprev,
+            &mut Workspace::new(),
+        );
+        (dx, dprev)
+    }
+
+    fn assert_bits(a: &Matrix<f64>, b: &Matrix<f64>, what: &str) {
+        assert_eq!(a.shape(), b.shape(), "{what}: shape");
+        for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what} drifted");
+        }
+    }
+
+    fn assert_opt_bits(a: &Option<Matrix<f64>>, b: &Option<Matrix<f64>>, what: &str) {
+        assert_eq!(a.is_some(), b.is_some(), "{what}: presence");
+        if let (Some(a), Some(b)) = (a, b) {
+            assert_bits(a, b, what);
+        }
+    }
+
+    /// The buffer-reuse contract the task graph relies on: state, cache,
+    /// `dx` and `dprev` buffers left dirty by a call on unrelated inputs,
+    /// plus one workspace reused across every call, give outputs and
+    /// gradients bit-identical to fresh buffers.
+    pub(crate) fn assert_dirty_reuse_matches_fresh<C: WsCell<f64>>(p: &C, batch: usize, seed: u64) {
+        let kind = p.cell_kind();
+        let (input, hidden) = p.dims();
+        let lstm = kind == CellKind::Lstm;
+        let u = |rows: usize, cols: usize, s: u64| init::uniform(rows, cols, -1.0, 1.0, seed + s);
+        let inputs = |s: u64| {
+            let prev = CellState {
+                h: u(batch, hidden, s + 1),
+                c: lstm.then(|| u(batch, hidden, s + 2)),
+            };
+            let dstate = StateGrad {
+                dh: u(batch, hidden, s + 4),
+                dc: lstm.then(|| u(batch, hidden, s + 5)),
+            };
+            (u(batch, input, s), prev, u(batch, hidden, s + 3), dstate)
+        };
+        let (x, prev, dh, dstate) = inputs(0);
+        let (st_ref, cache_ref) = forward(p, &x, &prev);
+        let mut g_ref = p.zero_grads();
+        let (dx_ref, dp_ref) = backward(p, &cache_ref, &dh, Some(&dstate), &mut g_ref);
+
+        let mut ws = Workspace::new();
+        let mut st = CellState::zeros(kind, batch, hidden);
+        let mut cache = p.fresh_cache(batch);
+        let mut dx = Matrix::zeros(batch, input);
+        let mut dprev = StateGrad::zeros(kind, batch, hidden);
+        for round in 0..3 {
+            // Dirty every buffer (and the pool) with unrelated inputs.
+            let (x2, prev2, dh2, dstate2) = inputs(10 * (round + 1));
+            let mut g = p.zero_grads();
+            p.fwd(&x2, &prev2, &mut st, &mut cache, &mut ws);
+            p.bwd(
+                &cache,
+                &dh2,
+                Some(&dstate2),
+                &mut g,
+                &mut dx,
+                &mut dprev,
+                &mut ws,
+            );
+
+            p.fwd(&x, &prev, &mut st, &mut cache, &mut ws);
+            assert_bits(&st.h, &st_ref.h, "H_t");
+            assert_opt_bits(&st.c, &st_ref.c, "C_t");
+            let mut g = p.zero_grads();
+            p.bwd(
+                &cache,
+                &dh,
+                Some(&dstate),
+                &mut g,
+                &mut dx,
+                &mut dprev,
+                &mut ws,
+            );
+            assert_bits(&dx, &dx_ref, "dX");
+            assert_bits(&dprev.dh, &dp_ref.dh, "dH_prev");
+            assert_opt_bits(&dprev.dc, &dp_ref.dc, "dC_prev");
+            for (a, b) in g.mats().into_iter().zip(g_ref.mats()) {
+                assert_bits(a, b, "weight gradient");
+            }
+        }
+        assert!(ws.stats().reuses > 0, "scratch pool was never reused");
     }
 }
 

@@ -79,13 +79,13 @@ impl BarrierExec {
             strategy: RecurrenceStrategy::Chain,
             barriers: true,
         };
-        let weights = Arc::new(WeightStore::for_backend(model, shape.backend));
+        let weights = Arc::new(WeightStore::new(model));
         let mut regions = RegionAlloc::default();
         let (replicas, chunks) = build_replicas(&weights, &shape, &mut regions);
         for (rep, &(start, count)) in replicas.iter().zip(&chunks) {
             rep.load_inputs(batch, start, count);
             if let Some(target) = target {
-                rep.set_target(&target.row_block(start, count));
+                rep.set_target(target, start, count);
             }
         }
         submit_batch(

@@ -24,25 +24,33 @@
 //! deep-copied only when the model's revision stamp changes, never once per
 //! batch.
 //!
-//! Floating-point note: task bodies perform identical kernel calls in an
-//! order whose only reorderings are commutative two-operand additions, so
-//! results are bit-identical to [`super::SequentialExec`] when built with
-//! the scalar [`Backend`] (the default). Graphs built with the SIMD or
-//! int8 backend dispatch their *forward* kernels through that backend
-//! (see [`ReplicaGraph::backend`]); backward/training kernels always use
-//! the scalar oracle, since gradient checks depend on exact arithmetic.
+//! Floating-point note: task bodies perform the same in-place kernel calls
+//! as [`super::SequentialExec`] in an order whose only reorderings are
+//! commutative two-operand additions, so results are bit-identical to it
+//! when built with the scalar [`Backend`] (the default). Graphs built with
+//! the SIMD backend dispatch their *forward* cell, merge and classifier
+//! kernels through it (see [`ReplicaGraph::backend`]); the loss and every
+//! backward kernel always use the scalar oracle, since gradient checks
+//! depend on exact arithmetic.
+//!
+//! Both phases share one slot discipline: every task body overwrites its
+//! output slots in place ([`Slot::write_in_place`]), so a cached plan —
+//! inference or training — keeps its buffers between runs and a warm
+//! replay allocates only what the gradient accumulators drained by
+//! [`ReplicaGraph::take_grads`] re-create.
 
 use super::taskgraph::row_chunks;
 use crate::cell::{CellCache, CellParams, CellState, StateGrad};
 use crate::dense::DenseParams;
-use crate::loss::softmax_cross_entropy;
+use crate::loss::softmax_cross_entropy_into;
+use crate::merge::MergeMode;
 use crate::model::{Brnn, BrnnConfig, BrnnGrads, LayerPair, ModelKind};
 use crate::scanplan::{NodeRef, RecurrenceStrategy, ScanPlan};
 use bpar_runtime::graph::{TaskGraph, TaskNode};
 use bpar_runtime::{
     record_read_at, record_write_at, PlanBuilder, PlanSpec, RegionId, Runtime, TaskSpec,
 };
-use bpar_tensor::{roundtrip_quantize, Backend, BackendKind, Float, Matrix, Workspace};
+use bpar_tensor::{Backend, Float, Matrix, Workspace};
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -174,45 +182,14 @@ pub(crate) struct WeightStore<T: Float> {
     /// Deep copies made over this store's lifetime (1 at seeded
     /// construction).
     deep_copies: AtomicU64,
-    /// When set, every deep copy round-trip-quantizes the weight matrices
-    /// (see [`WeightStore::for_backend`]).
-    quantized: bool,
-}
-
-/// Round-trip int8-quantizes every weight matrix of `model` in place:
-/// per-tensor symmetric scales, biases untouched. After this pass the
-/// weights sit exactly on the int8 grid, so the int8 GEMM's B-operand
-/// quantization is lossless and only the activation side contributes
-/// error. `f64` models are left exact, matching the backend dispatch rule
-/// that `f64` always takes the scalar reference path.
-fn quantize_weights<T: Float>(model: &mut Brnn<T>) {
-    let mut q = |m: &mut Matrix<T>| {
-        if let Some(s) = T::as_f32_slice_mut(m.as_mut_slice()) {
-            roundtrip_quantize(s);
-        }
-    };
-    for layer in &mut model.layers {
-        layer.fwd.for_each_weight_mut(&mut q);
-        layer.rev.for_each_weight_mut(&mut q);
-    }
-    q(&mut model.dense.w);
 }
 
 impl<T: Float> WeightStore<T> {
-    /// A store whose deep copies are prepared for `backend`: under
-    /// [`BackendKind::Int8`] every copy (the seed and each revision
-    /// re-sync) is weight-quantized **once**, so the per-batch hot path
-    /// only quantizes activations. Other backends copy verbatim.
-    pub fn for_backend(model: &Brnn<T>, backend: Backend) -> Self {
-        let quantized = backend.kind() == BackendKind::Int8;
-        let mut seed = model.clone();
-        if quantized {
-            quantize_weights(&mut seed);
-        }
+    /// A store seeded with one deep copy of `model`.
+    pub fn new(model: &Brnn<T>) -> Self {
         Self {
-            snapshot: RwLock::new(Some(Arc::new(seed))),
+            snapshot: RwLock::new(Some(Arc::new(model.clone()))),
             deep_copies: AtomicU64::new(1),
-            quantized,
         }
     }
 
@@ -222,7 +199,6 @@ impl<T: Float> WeightStore<T> {
         Self {
             snapshot: RwLock::new(None),
             deep_copies: AtomicU64::new(0),
-            quantized: false,
         }
     }
 
@@ -236,8 +212,8 @@ impl<T: Float> WeightStore<T> {
 
     /// Brings the snapshot up to date with `model`. Returns `true` iff a
     /// deep copy was made (i.e. the revisions differed). Clones preserve
-    /// the revision stamp, so a quantized snapshot still compares equal to
-    /// the model it was copied from.
+    /// the revision stamp, so the snapshot compares equal to the model it
+    /// was copied from.
     pub fn sync(&self, model: &Brnn<T>) -> bool {
         if self
             .snapshot
@@ -247,11 +223,7 @@ impl<T: Float> WeightStore<T> {
         {
             return false;
         }
-        let mut copy = model.clone();
-        if self.quantized {
-            quantize_weights(&mut copy);
-        }
-        *self.snapshot.write() = Some(Arc::new(copy));
+        *self.snapshot.write() = Some(Arc::new(model.clone()));
         self.deep_copies.fetch_add(1, Ordering::Relaxed);
         true
     }
@@ -330,12 +302,6 @@ impl<X> Slot<X> {
         Arc::as_ptr(self.cell()) as u64
     }
 
-    /// Stores a value (writer side).
-    pub fn put(&self, v: X) {
-        record_write_at(self.region, self.site());
-        *self.cell().write() = Some(v);
-    }
-
     /// Removes the value (single-consumer reads).
     pub fn take(&self) -> Option<X> {
         record_read_at(self.region, self.site());
@@ -364,14 +330,12 @@ impl<X> Slot<X> {
     /// [`ReplicaGraph::clear_values`]). The closure must **fully**
     /// overwrite the value — no prior-batch data may flow into the result
     /// — so this records only a *write*: tasks using it declare the region
-    /// `out`, exactly like [`Slot::put`]. This is the steady-state
-    /// allocation-free counterpart of `put`: warm replays reuse the buffer
-    /// instead of dropping and reallocating it every batch.
-    pub fn write_in_place(&self, init: impl FnOnce() -> X, f: impl FnOnce(&mut X)) {
+    /// `out`. Warm replays reuse the buffer instead of reallocating it
+    /// every batch. Returns whatever `f` returns.
+    pub fn write_in_place<R>(&self, init: impl FnOnce() -> X, f: impl FnOnce(&mut X) -> R) -> R {
         record_write_at(self.region, self.site());
         let mut guard = self.cell().write();
-        let v = guard.get_or_insert_with(init);
-        f(v);
+        f(guard.get_or_insert_with(init))
     }
 
     /// Accumulator write: stores `v` if the slot is empty, otherwise folds
@@ -523,6 +487,34 @@ fn push_barrier(sink: &mut dyn TaskSink, tag: u64, ins: Vec<RegionId>, out: Regi
             .outs([out])
             .body(|| {}),
     );
+}
+
+/// The gradient a backward body reads from a `dh` slot: the slot's value,
+/// or — at a position no merge-backward task feeds (see
+/// [`ReplicaGraph::dh_zero`]) — the shared zero state's `h`.
+fn dh_value<'a, T: Float>(
+    slot: Option<&'a Matrix<T>>,
+    zero: Option<&'a CellState<T>>,
+) -> &'a Matrix<T> {
+    match zero {
+        Some(z) => &z.h,
+        None => slot.expect("missing hidden-state gradient"),
+    }
+}
+
+/// Merge backward (Eq. 11) straight into the two directions' `dh` slots.
+fn merge_backward_in_place<T: Float>(
+    mode: MergeMode,
+    dmerged: &Matrix<T>,
+    fh: &Matrix<T>,
+    rh: &Matrix<T>,
+    dhf: &Slot<Matrix<T>>,
+    dhr: &Slot<Matrix<T>>,
+) {
+    let zeros = || Matrix::zeros(fh.rows(), fh.cols());
+    dhf.write_in_place(zeros, |df| {
+        dhr.write_in_place(zeros, |dr| mode.backward_into(dmerged, fh, rh, df, dr))
+    });
 }
 
 /// Builds one replica graph per row chunk of `shape`, all reading weights
@@ -760,10 +752,12 @@ impl<T: Float> ReplicaGraph<T> {
     /// Analytic size of this replica's persistent buffers — the arena a
     /// resident plan holds between replays: inputs, the shared zero state,
     /// per-cell states and BPTT caches, merge outputs, features and
-    /// logits. Per-task scratch workspaces (bounded by the cells'
-    /// working-set estimates) and training-only gradient slots are
-    /// excluded: the former are small, the latter are drained every batch.
-    pub fn persistent_bytes(&self) -> u64 {
+    /// logits, plus for a `train` graph every gradient slot the backward
+    /// tasks overwrite in place. Per-task scratch workspaces (bounded by
+    /// the cells' working-set estimates) and the weight-gradient
+    /// accumulators are excluded: the former are small, the latter are
+    /// drained every batch by [`ReplicaGraph::take_grads`].
+    pub fn persistent_bytes(&self, train: bool) -> u64 {
         let cfg = self.config;
         let scalar = std::mem::size_of::<T>();
         // State and cache buffers all scale linearly with batch rows, so a
@@ -783,34 +777,53 @@ impl<T: Float> ReplicaGraph<T> {
         total += cfg.layers.saturating_sub(1) * self.seq * self.rows * merge_w * scalar;
         total += self.feat.len() * self.rows * (merge_w + cfg.output_size) * scalar;
         if let Some(scan) = &self.scan {
-            // Activation-scan transfer slots stay warm between inference
-            // replays: one (1 × h, rows × h) pair per chunk total and per
-            // combine node, per direction, per layer. Adjoint transfers
-            // are training-only and drained every batch, like gradients.
+            // Scan transfer slots stay warm between replays: one
+            // (1 × h, rows × h) pair per chunk total and per combine node,
+            // per direction, per layer — twice over for training, whose
+            // adjoint scan has the same topology.
             let per = (cfg.hidden_size + self.rows * cfg.hidden_size) * scalar;
             let n = scan.plan.chunk_count() + scan.plan.combines.len();
-            total += 2 * cfg.layers * n * per;
+            total += 2 * cfg.layers * n * per * if train { 2 } else { 1 };
+        }
+        if train {
+            let hidden_row = self.rows * cfg.hidden_size * scalar;
+            // Per timestep and direction: the state gradient and the
+            // layer-input gradient, plus `dh` where a merge feeds it.
+            for l in 0..cfg.layers {
+                let input_row = self.rows * cfg.layer_input_size(l) * scalar;
+                let fed = (0..self.seq)
+                    .flat_map(|t| [(t, true), (t, false)])
+                    .filter(|&(t, fwd)| self.dh_fed(l, t, fwd))
+                    .count();
+                total += 2 * self.seq * (self.rows * state_row + input_row) + fed * hidden_row;
+            }
+            total += self.dfeat.len() * self.rows * cfg.classifier_input_size() * scalar;
         }
         total as u64
     }
 
-    /// Replaces the training targets for the next run of the graph,
-    /// converting to one class vector per output position.
-    pub fn set_target(&self, target: &super::Target) {
-        let per_pos: Vec<Vec<usize>> = match (self.config.kind, target) {
-            (ModelKind::ManyToOne, super::Target::Classes(c)) => vec![c.clone()],
-            (ModelKind::ManyToMany, super::Target::SeqClasses(s)) => s.clone(),
+    /// Sets the training targets for the next run of the graph to rows
+    /// `[start, start + count)` of `target`, one class vector per output
+    /// position, reusing the store's buffers.
+    pub fn set_target(&self, target: &super::Target, start: usize, count: usize) {
+        let per_pos: &[Vec<usize>] = match (self.config.kind, target) {
+            (ModelKind::ManyToOne, super::Target::Classes(c)) => std::slice::from_ref(c),
+            (ModelKind::ManyToMany, super::Target::SeqClasses(s)) => s,
             _ => panic!("target kind does not match model kind"),
         };
         assert_eq!(per_pos.len(), self.logits.len(), "target positions");
-        *self.targets.write() = per_pos;
+        let mut dst = self.targets.write();
+        dst.resize_with(per_pos.len(), Vec::new);
+        for (d, classes) in dst.iter_mut().zip(per_pos) {
+            d.clear();
+            d.extend_from_slice(&classes[start..start + count]);
+        }
     }
 
     /// Drops every transient value (activations, caches, gradients,
-    /// inputs, targets) while keeping slots and regions alive. Called
-    /// after a cached plan's outputs are collected so resident plans cost
-    /// compiled-graph memory, not activation memory. The next run starts
-    /// from the same all-empty state a freshly built graph has.
+    /// inputs, targets) while keeping slots and regions alive, so the next
+    /// run starts from the same all-empty state a freshly built graph has
+    /// (see [`super::plan::ExecPlan::clear_values`]).
     pub fn clear_values(&self) {
         fn clear_grid<X>(grid: &[Vec<Slot<X>>]) {
             for row in grid {
@@ -851,6 +864,24 @@ impl<T: Float> ReplicaGraph<T> {
         self.loss.take();
         self.xs.write().clear();
         self.targets.write().clear();
+    }
+
+    /// Whether a merge-backward task writes `dh[l][t]` of direction
+    /// `fwd`. Every position below the last layer is fed; at the last
+    /// layer only the classifier's positions are (all of them for
+    /// many-to-many, `T-1` forward and `0` reverse for many-to-one).
+    fn dh_fed(&self, l: usize, t: usize, fwd: bool) -> bool {
+        let cfg = self.config;
+        l + 1 < cfg.layers
+            || cfg.kind == ModelKind::ManyToMany
+            || t == if fwd { self.seq - 1 } else { 0 }
+    }
+
+    /// The shared zero state at `dh` positions no merge feeds, else
+    /// `None`: fixed at build time, so backward bodies read a zero
+    /// gradient there without allocating one per run.
+    fn dh_zero(&self, l: usize, t: usize, fwd: bool) -> Option<Arc<CellState<T>>> {
+        (!self.dh_fed(l, t, fwd)).then(|| self.zero_state.clone())
     }
 
     /// Submits all cell and merge tasks of layer `l` (Algorithms 2 and 3:
@@ -1364,6 +1395,9 @@ impl<T: Float> ReplicaGraph<T> {
                 let dhs: Vec<Slot<Matrix<T>>> = (j0..j1).map(|j| dh[phys(j)].clone()).collect();
                 let sgs: Vec<Slot<StateGrad<T>>> = (j0..j1).map(|j| sg[phys(j)].clone()).collect();
                 let btotal = dirslots.btotals[bc].clone();
+                let zeros: Vec<Option<Arc<CellState<T>>>> = (j0..j1)
+                    .map(|j| self.dh_zero(l, phys(j), fwd_dir))
+                    .collect();
                 let rows = self.rows;
                 let scratch = Arc::new(Mutex::new(Workspace::new()));
                 sink.push(
@@ -1391,21 +1425,21 @@ impl<T: Float> ReplicaGraph<T> {
                             // sweep starts from a zero incoming adjoint.
                             let mut carry = scratch.checkout(rows, cfg.hidden_size);
                             for i in (0..len).rev() {
-                                let dh_val = dhs[i]
-                                    .take()
-                                    .unwrap_or_else(|| Matrix::zeros(rows, cfg.hidden_size));
-                                sgs[i].write_in_place(
-                                    || StateGrad::zeros(cfg.cell, rows, cfg.hidden_size),
-                                    |sgv| {
-                                        bpar_tensor::ops::row_mul_add(
-                                            lam,
-                                            &carry,
-                                            &dh_val,
-                                            &mut sgv.dh,
-                                        );
-                                        carry.copy_from(&sgv.dh);
-                                    },
-                                );
+                                dhs[i].with(|d| {
+                                    let dh_val = dh_value(d, zeros[i].as_deref());
+                                    sgs[i].write_in_place(
+                                        || StateGrad::zeros(cfg.cell, rows, cfg.hidden_size),
+                                        |sgv| {
+                                            bpar_tensor::ops::row_mul_add(
+                                                lam,
+                                                &carry,
+                                                dh_val,
+                                                &mut sgv.dh,
+                                            );
+                                            carry.copy_from(&sgv.dh);
+                                        },
+                                    )
+                                });
                             }
                             btotal.write_in_place(
                                 || {
@@ -1536,6 +1570,8 @@ impl<T: Float> ReplicaGraph<T> {
                 let dinputs: Vec<Slot<Matrix<T>>> =
                     (j0..j1).map(|j| dinput[phys(j)].clone()).collect();
                 let gacc = gacc_slot.clone();
+                let rows = self.rows;
+                let scratch = Arc::new(Mutex::new(Workspace::new()));
                 sink.push(
                     PlanSpec::new("bscan_grad")
                         .tag(tag(c))
@@ -1550,6 +1586,8 @@ impl<T: Float> ReplicaGraph<T> {
                             } else {
                                 &model.layers[l].rev
                             };
+                            let mut scratch = scratch.lock();
+                            let ws = &mut *scratch;
                             gacc.update(
                                 || params.zeros_like(),
                                 |g| {
@@ -1558,9 +1596,29 @@ impl<T: Float> ReplicaGraph<T> {
                                             let (_, cache) = cached.expect("missing forward cache");
                                             sgs[i].with(|sgv| {
                                                 let delta = &sgv.expect("missing scan adjoint").dh;
-                                                let (dx, _sg_prev) =
-                                                    params.backward(cache, delta, None, g);
-                                                dinputs[i].put(dx);
+                                                // δ already folds the recurrence in, so the
+                                                // cell's own λ ⊙ δ output is scratch (the
+                                                // linear cell has no `dc`).
+                                                let mut dprev = StateGrad {
+                                                    dh: ws.checkout(rows, hidden),
+                                                    dc: None,
+                                                };
+                                                dinputs[i].write_in_place(
+                                                    || Matrix::zeros(rows, input_w),
+                                                    |dx| {
+                                                        params.backward_ws(
+                                                            cache,
+                                                            delta,
+                                                            None,
+                                                            g,
+                                                            dx,
+                                                            &mut dprev,
+                                                            ws,
+                                                            Backend::scalar(),
+                                                        )
+                                                    },
+                                                );
+                                                ws.give_back(dprev.dh);
                                             });
                                         });
                                     }
@@ -1623,7 +1681,6 @@ impl<T: Float> ReplicaGraph<T> {
                 let out = self.logits[i].clone();
                 let rows = self.rows;
                 let be = self.backend;
-                let scratch = Arc::new(Mutex::new(Workspace::new()));
                 sink.push(
                     PlanSpec::new("dense")
                         .tag(i as u64)
@@ -1632,12 +1689,11 @@ impl<T: Float> ReplicaGraph<T> {
                         .flops(dense_flops)
                         .body(move || {
                             let model = weights.snapshot();
-                            let mut scratch = scratch.lock();
                             feat.with(|x| {
                                 let x = x.expect("missing features");
                                 out.write_in_place(
                                     || Matrix::zeros(rows, model.dense.w.cols()),
-                                    |logits| model.dense.forward_into(x, logits, &mut scratch, be),
+                                    |logits| model.dense.forward_into(x, logits, be),
                                 )
                             });
                         }),
@@ -1654,6 +1710,8 @@ impl<T: Float> ReplicaGraph<T> {
                 let gdense = self.grads_dense.clone();
                 let loss_slot = self.loss.clone();
                 let weight = self.weight;
+                let rows = self.rows;
+                let scratch = Arc::new(Mutex::new(Workspace::new()));
                 // The classifier-gradient and loss slots are accumulated
                 // across output positions (read-modify-write), so they are
                 // declared *inout*. The added read edges coincide with the
@@ -1667,22 +1725,46 @@ impl<T: Float> ReplicaGraph<T> {
                         .flops(3 * dense_flops)
                         .body(move || {
                             let model = weights.snapshot();
+                            let dense = &model.dense;
+                            let mut scratch = scratch.lock();
+                            let ws = &mut *scratch;
                             feat.with(|x| {
-                                let x = x.unwrap();
-                                let logits = model.dense.forward(x);
-                                let targets = targets.read();
-                                let (l, mut dlogits) = softmax_cross_entropy(&logits, &targets[i]);
+                                let x = x.expect("missing features");
+                                let mut dlogits = ws.checkout(rows, dense.w.cols());
+                                let l = out.write_in_place(
+                                    || Matrix::zeros(rows, dense.w.cols()),
+                                    |logits| {
+                                        dense.forward_into(x, logits, Backend::scalar());
+                                        let targets = targets.read();
+                                        softmax_cross_entropy_into(
+                                            logits,
+                                            &targets[i],
+                                            &mut dlogits,
+                                        )
+                                    },
+                                );
                                 let scale = T::from_f64(weight * inv_outputs);
                                 bpar_tensor::ops::scale(scale, &mut dlogits);
                                 gdense.update(
-                                    || model.dense.zeros_like(),
+                                    || dense.zeros_like(),
                                     |g| {
-                                        let dx = model.dense.backward(x, &dlogits, g);
-                                        dfeat.put(dx);
+                                        dfeat.write_in_place(
+                                            || Matrix::zeros(rows, dense_in),
+                                            |dx| {
+                                                dense.backward_ws(
+                                                    x,
+                                                    &dlogits,
+                                                    g,
+                                                    dx,
+                                                    ws,
+                                                    Backend::scalar(),
+                                                )
+                                            },
+                                        )
                                     },
                                 );
                                 loss_slot.update(|| 0.0, |acc| *acc += l * weight * inv_outputs);
-                                out.put(logits);
+                                ws.give_back(dlogits);
                             });
                         }),
                 );
@@ -1701,19 +1783,16 @@ impl<T: Float> ReplicaGraph<T> {
                         .outs([dhf.region, dhr.region])
                         .flops(merge_flops)
                         .body(move || {
-                            let (df, dr) = dfeat2.with(|d| {
+                            dfeat2.with(|d| {
+                                let d = d.expect("missing feature gradient");
                                 f.with(|fv| {
                                     r.with(|rv| {
-                                        mode.backward(
-                                            d.unwrap(),
-                                            &fv.unwrap().0.h,
-                                            &rv.unwrap().0.h,
-                                        )
+                                        let fh = &fv.expect("fwd missing").0.h;
+                                        let rh = &rv.expect("rev missing").0.h;
+                                        merge_backward_in_place(mode, d, fh, rh, &dhf, &dhr)
                                     })
                                 })
                             });
-                            dhf.put(df);
-                            dhr.put(dr);
                         }),
                 );
             }
@@ -1843,7 +1922,9 @@ impl<T: Float> ReplicaGraph<T> {
         let sg_out = sg[t].clone();
         let dinput = dinput[t].clone();
         let gacc = gacc.clone();
-        let rows = self.rows;
+        let zero = self.dh_zero(l, t, fwd);
+        let (rows, kind, hidden) = (self.rows, cfg.cell, cfg.hidden_size);
+        let scratch = Arc::new(Mutex::new(Workspace::new()));
         sink.push(
             PlanSpec::new(label)
                 .tag(((l as u64) << 32) | t as u64)
@@ -1861,21 +1942,45 @@ impl<T: Float> ReplicaGraph<T> {
                     } else {
                         &model.layers[l].rev
                     };
-                    let dh_val = dh
-                        .take()
-                        .unwrap_or_else(|| Matrix::zeros(rows, model.config.hidden_size));
-                    let sg_val = sg_in.as_ref().and_then(|s| s.take());
-                    st.with(|cached| {
-                        let (_, cache) = cached.expect("missing forward-pass cache");
-                        gacc.update(
-                            || params.zeros_like(),
-                            |g| {
-                                let (dx, sg_prev) =
-                                    params.backward(cache, &dh_val, sg_val.as_ref(), g);
-                                dinput.put(dx);
-                                sg_out.put(sg_prev);
-                            },
-                        );
+                    let mut scratch = scratch.lock();
+                    let mut run = |dh_val: &Matrix<T>, sg_val: Option<&StateGrad<T>>| {
+                        st.with(|cached| {
+                            let (_, cache) = cached.expect("missing forward-pass cache");
+                            gacc.update(
+                                || params.zeros_like(),
+                                |g| {
+                                    dinput.write_in_place(
+                                        || Matrix::zeros(rows, input_w),
+                                        |dx| {
+                                            sg_out.write_in_place(
+                                                || StateGrad::zeros(kind, rows, hidden),
+                                                |dprev| {
+                                                    params.backward_ws(
+                                                        cache,
+                                                        dh_val,
+                                                        sg_val,
+                                                        g,
+                                                        dx,
+                                                        dprev,
+                                                        &mut scratch,
+                                                        Backend::scalar(),
+                                                    )
+                                                },
+                                            )
+                                        },
+                                    )
+                                },
+                            )
+                        })
+                    };
+                    dh.with(|d| {
+                        let dh_val = dh_value(d, zero.as_deref());
+                        match &sg_in {
+                            Some(s) => s.with(|v| {
+                                run(dh_val, Some(v.expect("missing recurrent state gradient")))
+                            }),
+                            None => run(dh_val, None),
+                        }
                     });
                 }),
         );
@@ -1898,6 +2003,8 @@ impl<T: Float> ReplicaGraph<T> {
                 let r = self.st_rev[l - 1][t].clone();
                 let dhf = self.dh_fwd[l - 1][t].clone();
                 let dhr = self.dh_rev[l - 1][t].clone();
+                let (rows, width) = (self.rows, cfg.layer_input_size(l));
+                let scratch = Arc::new(Mutex::new(Workspace::new()));
                 sink.push(
                     PlanSpec::new("merge_bwd")
                         .tag((((l - 1) as u64) << 32) | t as u64)
@@ -1905,7 +2012,11 @@ impl<T: Float> ReplicaGraph<T> {
                         .outs([dhf.region, dhr.region])
                         .flops(cfg.merge.flops(self.rows, cfg.hidden_size))
                         .body(move || {
-                            let mut dmerged = din_f.take().expect("missing fwd dinput");
+                            // The layer-input gradient: forward-direction
+                            // contribution plus reverse-direction one.
+                            let mut scratch = scratch.lock();
+                            let mut dmerged = scratch.checkout(rows, width);
+                            din_f.with(|d| dmerged.copy_from(d.expect("missing fwd dinput")));
                             din_r.with(|d| {
                                 bpar_tensor::ops::axpy(
                                     T::ONE,
@@ -1913,13 +2024,14 @@ impl<T: Float> ReplicaGraph<T> {
                                     &mut dmerged,
                                 );
                             });
-                            let (df, dr) = f.with(|fv| {
+                            f.with(|fv| {
                                 r.with(|rv| {
-                                    mode.backward(&dmerged, &fv.unwrap().0.h, &rv.unwrap().0.h)
+                                    let fh = &fv.expect("fwd missing").0.h;
+                                    let rh = &rv.expect("rev missing").0.h;
+                                    merge_backward_in_place(mode, &dmerged, fh, rh, &dhf, &dhr)
                                 })
                             });
-                            dhf.put(df);
-                            dhr.put(dr);
+                            scratch.give_back(dmerged);
                         }),
                 );
             }
@@ -2094,7 +2206,7 @@ mod tests {
     #[test]
     fn weight_store_copies_only_on_revision_change() {
         let mut model = tiny();
-        let store = WeightStore::for_backend(&model, Backend::scalar());
+        let store = WeightStore::new(&model);
         assert_eq!(store.deep_copies(), 1);
 
         // Unchanged model: sync is a no-op, the snapshot stays shared.
@@ -2114,7 +2226,7 @@ mod tests {
     #[test]
     fn replica_rejects_mismatched_inputs() {
         let model = tiny();
-        let store = Arc::new(WeightStore::for_backend(&model, Backend::scalar()));
+        let store = Arc::new(WeightStore::new(&model));
         let mut regions = RegionAlloc::default();
         let shape = BatchShape {
             config: model.config,

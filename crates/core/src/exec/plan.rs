@@ -48,8 +48,7 @@ pub(crate) struct PlanKey {
     /// Kernel backend the task bodies were frozen with. Two executions
     /// that differ only in backend must never share a plan: the backend
     /// is captured into the compiled bodies at build time, so a shared
-    /// plan would silently run the wrong kernels (and int8 plans own
-    /// quantized weight planes a scalar run must not touch).
+    /// plan would silently run the wrong kernels.
     pub backend: BackendKind,
     /// *Effective* recurrence strategy (post `RecurrenceStrategy::
     /// effective` fallback/clamping). Chain and scan graphs have entirely
@@ -67,11 +66,10 @@ pub(crate) struct ExecPlan<T: Float> {
     pub replicas: Vec<ReplicaGraph<T>>,
     pub chunks: Vec<(usize, usize)>,
     pub compiled: Arc<CompiledPlan>,
-    /// Whether the graph contains loss/backward/reduction tasks.
-    pub train: bool,
     /// Analytic size of the plan's persistent arena — every input, state,
-    /// cache, merge and logit buffer its replicas keep alive between
-    /// replays — computed once at build time from the plan's shapes.
+    /// cache, merge and logit buffer (and, for training, every gradient
+    /// buffer) its replicas keep alive between replays — computed once at
+    /// build time from the plan's shapes.
     pub arena_bytes: u64,
 }
 
@@ -124,7 +122,7 @@ impl<T: Float> ExecPlan<T> {
             strategy,
             barriers: false,
         };
-        let weights = Arc::new(WeightStore::for_backend(model, backend));
+        let weights = Arc::new(WeightStore::new(model));
         let mut regions = RegionAlloc::default();
         let (replicas, chunks) = build_replicas(&weights, &shape, &mut regions);
         let mut b = PlanBuilder::new();
@@ -150,13 +148,12 @@ impl<T: Float> ExecPlan<T> {
             );
         }
         let compiled = Arc::new(compiled);
-        let arena_bytes = replicas.iter().map(ReplicaGraph::persistent_bytes).sum();
+        let arena_bytes = replicas.iter().map(|r| r.persistent_bytes(train)).sum();
         Self {
             weights,
             replicas,
             chunks,
             compiled,
-            train,
             arena_bytes,
         }
     }
@@ -180,31 +177,17 @@ impl<T: Float> ExecPlan<T> {
     /// Distributes `target` row-wise over the replicas' target stores.
     pub fn load_target(&self, target: &Target) {
         for (rep, &(start, count)) in self.replicas.iter().zip(&self.chunks) {
-            rep.set_target(&target.row_block(start, count));
+            rep.set_target(target, start, count);
         }
     }
 
-    /// Post-batch cleanup. Training plans drop every transient value —
-    /// gradients and loss are single-consumer `take()`s and the next batch
-    /// must start from an all-empty state. Inference plans keep their
-    /// buffers: every forward task fully overwrites its slot on the next
-    /// replay, so retaining them is what makes the warm path
-    /// allocation-free — the retained memory *is* the plan's arena
-    /// ([`ExecPlan::arena_bytes`]).
-    pub fn scrub(&self) {
-        if self.train {
-            for rep in &self.replicas {
-                rep.clear_values();
-            }
-        }
-    }
-
-    /// Unconditionally drops every transient value, returning the plan to
-    /// the all-empty state of a freshly built graph. Analysis replays use
-    /// this instead of [`ExecPlan::scrub`]: a missing-dependency bug must
-    /// surface as an empty-slot read or a divergent fingerprint, which a
-    /// persistent buffer holding the previous replay's (identical) values
-    /// would mask.
+    /// Drops every transient value, returning the plan to the all-empty
+    /// state of a freshly built graph. Executors never call this — every
+    /// task overwrites its slots in place, so a plan keeps its buffers
+    /// between runs (the retained memory *is* [`ExecPlan::arena_bytes`]).
+    /// Analysis replays do: a missing-dependency bug must surface as an
+    /// empty-slot read or a divergent fingerprint, which a persistent
+    /// buffer holding the previous replay's (identical) values would mask.
     pub fn clear_values(&self) {
         for rep in &self.replicas {
             rep.clear_values();

@@ -4,13 +4,94 @@
 //! order, merge placement — that every parallel executor must reproduce.
 //! The forward/backward driver functions are `pub(crate)` so the B-Seq
 //! executor (data parallelism only) can reuse them per mini-batch.
+//!
+//! Every kernel call is the in-place `_ws`/`_into` variant the task graph
+//! runs, on the scalar backend, writing into freshly allocated buffers:
+//! the same calls in the same order, so the parallel executors can be
+//! held to bit-identity with this one.
 
 use super::{check_batch, Executor, ForwardOutput, Target};
-use crate::cell::{CellCache, CellState, StateGrad};
+use crate::cell::{CellCache, CellParams, CellState, StateGrad};
+use crate::dense::DenseParams;
 use crate::loss::softmax_cross_entropy;
+use crate::merge::MergeMode;
 use crate::model::{Brnn, BrnnGrads, ModelKind};
 use crate::optim::Optimizer;
-use bpar_tensor::{Float, Matrix};
+use bpar_tensor::{Backend, Float, Matrix, Workspace};
+
+/// One cell update into fresh state and cache buffers.
+fn cell_forward<T: Float>(
+    params: &CellParams<T>,
+    x: &Matrix<T>,
+    prev: &CellState<T>,
+    hidden: usize,
+    ws: &mut Workspace<T>,
+) -> (CellState<T>, CellCache<T>) {
+    let kind = params.kind();
+    let mut st = CellState::zeros(kind, x.rows(), hidden);
+    let mut cache = CellCache::zeros(kind, x.rows(), x.cols(), hidden);
+    params.forward_ws(x, prev, &mut st, &mut cache, ws, Backend::scalar());
+    (st, cache)
+}
+
+/// One BPTT cell update into fresh `dx` and state-gradient buffers.
+#[allow(clippy::too_many_arguments)]
+fn cell_backward<T: Float>(
+    params: &CellParams<T>,
+    cache: &CellCache<T>,
+    dh: &Matrix<T>,
+    dstate: Option<&StateGrad<T>>,
+    grads: &mut CellParams<T>,
+    input: usize,
+    ws: &mut Workspace<T>,
+) -> (Matrix<T>, StateGrad<T>) {
+    let (rows, hidden) = dh.shape();
+    let mut dx = Matrix::zeros(rows, input);
+    let mut dprev = StateGrad::zeros(params.kind(), rows, hidden);
+    let be = Backend::scalar();
+    params.backward_ws(cache, dh, dstate, grads, &mut dx, &mut dprev, ws, be);
+    (dx, dprev)
+}
+
+/// Merge cell into a fresh buffer.
+fn merge<T: Float>(mode: MergeMode, fwd: &Matrix<T>, rev: &Matrix<T>) -> Matrix<T> {
+    let mut out = Matrix::zeros(fwd.rows(), mode.output_width(fwd.cols()));
+    mode.apply_into(fwd, rev, &mut out);
+    out
+}
+
+/// Merge backward into fresh `(dfwd, drev)` buffers.
+fn merge_backward<T: Float>(
+    mode: MergeMode,
+    dmerged: &Matrix<T>,
+    fwd: &Matrix<T>,
+    rev: &Matrix<T>,
+) -> (Matrix<T>, Matrix<T>) {
+    let mut dfwd = Matrix::zeros(fwd.rows(), fwd.cols());
+    let mut drev = Matrix::zeros(rev.rows(), rev.cols());
+    mode.backward_into(dmerged, fwd, rev, &mut dfwd, &mut drev);
+    (dfwd, drev)
+}
+
+/// Classifier projection into a fresh buffer.
+fn dense_forward<T: Float>(dense: &DenseParams<T>, x: &Matrix<T>) -> Matrix<T> {
+    let mut out = Matrix::zeros(x.rows(), dense.w.cols());
+    dense.forward_into(x, &mut out, Backend::scalar());
+    out
+}
+
+/// Classifier backward into a fresh `dx` buffer.
+fn dense_backward<T: Float>(
+    dense: &DenseParams<T>,
+    x: &Matrix<T>,
+    dlogits: &Matrix<T>,
+    grads: &mut DenseParams<T>,
+) -> Matrix<T> {
+    let mut dx = Matrix::zeros(x.rows(), x.cols());
+    let ws = &mut Workspace::new();
+    dense.backward_ws(x, dlogits, grads, &mut dx, ws, Backend::scalar());
+    dx
+}
 
 /// Everything the forward pass must remember for BPTT.
 pub(crate) struct FwdTrace<T: Float> {
@@ -36,6 +117,7 @@ pub(crate) fn forward_trace<T: Float>(model: &Brnn<T>, batch: &[Matrix<T>]) -> F
     let cfg = &model.config;
     let hidden = cfg.hidden_size;
     let kind = cfg.cell;
+    let mut ws = Workspace::new();
 
     let mut trace = FwdTrace {
         layer_inputs: Vec::with_capacity(cfg.layers),
@@ -56,7 +138,7 @@ pub(crate) fn forward_trace<T: Float>(model: &Brnn<T>, batch: &[Matrix<T>]) -> F
         let mut fwd_caches = Vec::with_capacity(seq_len);
         let mut state = CellState::zeros(kind, rows, hidden);
         for x in inputs.iter() {
-            let (st, cache) = params.fwd.forward(x, &state);
+            let (st, cache) = cell_forward(&params.fwd, x, &state, hidden, &mut ws);
             fwd_h.push(st.h.clone());
             fwd_caches.push(cache);
             state = st;
@@ -70,7 +152,7 @@ pub(crate) fn forward_trace<T: Float>(model: &Brnn<T>, batch: &[Matrix<T>]) -> F
         let mut rev_caches = Vec::with_capacity(seq_len);
         let mut state = CellState::zeros(kind, rows, hidden);
         for x in inputs.iter().rev() {
-            let (st, cache) = params.rev.forward(x, &state);
+            let (st, cache) = cell_forward(&params.rev, x, &state, hidden, &mut ws);
             rev_h.push(st.h.clone());
             rev_caches.push(cache);
             state = st;
@@ -82,7 +164,7 @@ pub(crate) fn forward_trace<T: Float>(model: &Brnn<T>, batch: &[Matrix<T>]) -> F
         let last_layer = l == cfg.layers - 1;
         if !last_layer {
             let merged: Vec<Matrix<T>> = (0..seq_len)
-                .map(|t| cfg.merge.apply(&fwd_h[t], &rev_h[t]))
+                .map(|t| merge(cfg.merge, &fwd_h[t], &rev_h[t]))
                 .collect();
             trace
                 .layer_inputs
@@ -92,14 +174,14 @@ pub(crate) fn forward_trace<T: Float>(model: &Brnn<T>, batch: &[Matrix<T>]) -> F
                 ModelKind::ManyToOne => {
                     // Merge the *final* cells of both directions: fwd at
                     // T-1, rev at 0 (both have seen the full sequence).
-                    let feat = cfg.merge.apply(&fwd_h[seq_len - 1], &rev_h[0]);
-                    trace.logits.push(model.dense.forward(&feat));
+                    let feat = merge(cfg.merge, &fwd_h[seq_len - 1], &rev_h[0]);
+                    trace.logits.push(dense_forward(&model.dense, &feat));
                     trace.features.push(feat);
                 }
                 ModelKind::ManyToMany => {
                     for t in 0..seq_len {
-                        let feat = cfg.merge.apply(&fwd_h[t], &rev_h[t]);
-                        trace.logits.push(model.dense.forward(&feat));
+                        let feat = merge(cfg.merge, &fwd_h[t], &rev_h[t]);
+                        trace.logits.push(dense_forward(&model.dense, &feat));
                         trace.features.push(feat);
                     }
                 }
@@ -125,9 +207,8 @@ pub(crate) fn loss_and_dfeatures<T: Float>(
     match (model.config.kind, target) {
         (ModelKind::ManyToOne, Target::Classes(classes)) => {
             let (loss, dlogits) = softmax_cross_entropy(&trace.logits[0], classes);
-            let dfeat = model
-                .dense
-                .backward(&trace.features[0], &dlogits, &mut grads.dense);
+            let dfeat =
+                dense_backward(&model.dense, &trace.features[0], &dlogits, &mut grads.dense);
             (loss, vec![dfeat])
         }
         (ModelKind::ManyToMany, Target::SeqClasses(seq)) => {
@@ -143,11 +224,12 @@ pub(crate) fn loss_and_dfeatures<T: Float>(
                 let (loss, mut dlogits) = softmax_cross_entropy(&trace.logits[t], classes);
                 total += loss * inv;
                 bpar_tensor::ops::scale(inv_t, &mut dlogits);
-                dfeats.push(
-                    model
-                        .dense
-                        .backward(&trace.features[t], &dlogits, &mut grads.dense),
-                );
+                dfeats.push(dense_backward(
+                    &model.dense,
+                    &trace.features[t],
+                    &dlogits,
+                    &mut grads.dense,
+                ));
             }
             (total, dfeats)
         }
@@ -168,6 +250,7 @@ pub(crate) fn backward_from_trace<T: Float>(
     let rows = trace.fwd_h[0][0].rows();
     let hidden = cfg.hidden_size;
     let last = cfg.layers - 1;
+    let mut ws = Workspace::new();
 
     // Gradients w.r.t. each direction's hidden output at the current layer.
     let mut dh_fwd: Vec<Matrix<T>> = (0..seq_len).map(|_| Matrix::zeros(rows, hidden)).collect();
@@ -176,7 +259,8 @@ pub(crate) fn backward_from_trace<T: Float>(
     // Seed from the classifier features (last layer merges).
     match cfg.kind {
         ModelKind::ManyToOne => {
-            let (df, dr) = cfg.merge.backward(
+            let (df, dr) = merge_backward(
+                cfg.merge,
                 &dfeatures[0],
                 &trace.fwd_h[last][seq_len - 1],
                 &trace.rev_h[last][0],
@@ -186,9 +270,12 @@ pub(crate) fn backward_from_trace<T: Float>(
         }
         ModelKind::ManyToMany => {
             for (t, dfeat) in dfeatures.iter().enumerate() {
-                let (df, dr) =
-                    cfg.merge
-                        .backward(dfeat, &trace.fwd_h[last][t], &trace.rev_h[last][t]);
+                let (df, dr) = merge_backward(
+                    cfg.merge,
+                    dfeat,
+                    &trace.fwd_h[last][t],
+                    &trace.rev_h[last][t],
+                );
                 bpar_tensor::ops::axpy(T::ONE, &df, &mut dh_fwd[t]);
                 bpar_tensor::ops::axpy(T::ONE, &dr, &mut dh_rev[t]);
             }
@@ -205,11 +292,14 @@ pub(crate) fn backward_from_trace<T: Float>(
         // BPTT through the forward direction: t = T-1 .. 0.
         let mut sg: Option<StateGrad<T>> = None;
         for t in (0..seq_len).rev() {
-            let (dx, sg_prev) = params.fwd.backward(
+            let (dx, sg_prev) = cell_backward(
+                &params.fwd,
                 &trace.fwd_caches[l][t],
                 &dh_fwd[t],
                 sg.as_ref(),
                 &mut lgrads.fwd,
+                input_w,
+                &mut ws,
             );
             bpar_tensor::ops::axpy(T::ONE, &dx, &mut dinputs[t]);
             sg = Some(sg_prev);
@@ -219,11 +309,14 @@ pub(crate) fn backward_from_trace<T: Float>(
         // gradients flow t = 0 .. T-1.
         let mut sg: Option<StateGrad<T>> = None;
         for (t, dinput) in dinputs.iter_mut().enumerate() {
-            let (dx, sg_prev) = params.rev.backward(
+            let (dx, sg_prev) = cell_backward(
+                &params.rev,
                 &trace.rev_caches[l][t],
                 &dh_rev[t],
                 sg.as_ref(),
                 &mut lgrads.rev,
+                input_w,
+                &mut ws,
             );
             bpar_tensor::ops::axpy(T::ONE, &dx, dinput);
             sg = Some(sg_prev);
@@ -232,9 +325,12 @@ pub(crate) fn backward_from_trace<T: Float>(
         // Propagate through the previous layer's merge cells.
         if l > 0 {
             for t in 0..seq_len {
-                let (df, dr) =
-                    cfg.merge
-                        .backward(&dinputs[t], &trace.fwd_h[l - 1][t], &trace.rev_h[l - 1][t]);
+                let (df, dr) = merge_backward(
+                    cfg.merge,
+                    &dinputs[t],
+                    &trace.fwd_h[l - 1][t],
+                    &trace.rev_h[l - 1][t],
+                );
                 dh_fwd[t] = df;
                 dh_rev[t] = dr;
             }

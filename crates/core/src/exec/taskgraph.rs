@@ -64,11 +64,9 @@ impl TaskGraphExec {
     }
 
     /// [`TaskGraphExec::with_config`] plus an explicit kernel backend.
-    /// Forward/inference kernels dispatch through `backend`; training
-    /// backward passes always use the scalar oracle, and the int8 backend
-    /// is inference-only — a training graph built under
-    /// [`BackendKind::Int8`] downgrades wholly to scalar, since quantized
-    /// forward activations would corrupt the exact gradients.
+    /// Forward cell, merge and classifier kernels dispatch through
+    /// `backend`; the training loss and backward passes always use the
+    /// scalar oracle.
     pub fn with_backend(
         workers: usize,
         policy: SchedulerPolicy,
@@ -114,21 +112,6 @@ impl TaskGraphExec {
         self.mbs
     }
 
-    /// The kernel backend inference plans are built with.
-    pub fn backend(&self) -> BackendKind {
-        self.backend
-    }
-
-    /// The backend a plan of the given phase dispatches through: the
-    /// configured backend for inference, with int8 downgraded to scalar
-    /// for training (see [`TaskGraphExec::with_backend`]).
-    fn plan_backend(&self, train: bool) -> Backend {
-        match (train, self.backend) {
-            (true, BackendKind::Int8) => Backend::scalar(),
-            (_, kind) => Backend::of(kind),
-        }
-    }
-
     /// Plan-cache counters: hits, misses, weight deep copies, build vs
     /// replay time.
     pub fn plan_cache_stats(&self) -> PlanCacheStats {
@@ -164,7 +147,7 @@ impl TaskGraphExec {
         train: bool,
     ) -> (Arc<ExecPlan<T>>, PlanKey) {
         let (seq, rows) = check_batch(model, batch);
-        let backend = self.plan_backend(train);
+        let backend = Backend::of(self.backend);
         // Cache under the *effective* strategy: a scan request on a
         // non-scannable cell shares the chain plan instead of building a
         // duplicate under a distinct key.
@@ -244,7 +227,6 @@ impl TaskGraphExec {
         if !self.runtime.cancel_claimed() {
             collect_logits_into(model, &plan.replicas, &plan.chunks, out);
         }
-        plan.scrub();
         Ok(())
     }
 }
@@ -278,9 +260,7 @@ impl<T: Float> Executor<T> for TaskGraphExec {
         let (plan, key) = self.plan_for(0, model, batch, false);
         plan.load_batch(model, batch);
         self.run_plan(model, &plan, &key)?;
-        let out = collect_logits(model, &plan.replicas);
-        plan.scrub();
-        Ok(out)
+        Ok(collect_logits(model, &plan.replicas))
     }
 
     fn try_forward_into(
@@ -293,7 +273,6 @@ impl<T: Float> Executor<T> for TaskGraphExec {
         plan.load_batch(model, batch);
         self.run_plan(model, &plan, &key)?;
         collect_logits_into(model, &plan.replicas, &plan.chunks, out);
-        plan.scrub();
         Ok(())
     }
 
@@ -321,7 +300,6 @@ impl<T: Float> Executor<T> for TaskGraphExec {
         self.run_plan(model, &plan, &key)?;
         let loss = plan.replicas[0].take_loss();
         let grads = plan.replicas[0].take_grads();
-        plan.scrub();
         // Bumps the model's revision, so the next run re-syncs weights.
         model.apply_grads(opt, &grads);
         Ok(loss)

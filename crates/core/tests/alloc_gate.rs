@@ -1,7 +1,11 @@
 //! Steady-state allocation gate: a warm, replayed inference plan must run
 //! an entire batch — input copy-in, every cell/merge/dense task, logit
-//! collection — without touching the heap allocator once. It also bounds
-//! what building a simulator graph allocates: no weights, no inputs.
+//! collection — without touching the heap allocator once, under both
+//! kernel backends. A warm training step may allocate only a per-step
+//! constant (the gradient accumulators `take_grads` drains and the weight
+//! re-sync after the optimizer step), the same at every sequence length.
+//! It also bounds what building a simulator graph allocates: no weights,
+//! no inputs.
 //!
 //! The whole file is compiled only with the `count-alloc` feature (the CI
 //! `alloc-gate` job runs `cargo test -p bpar-core --features count-alloc
@@ -13,10 +17,11 @@
 #![cfg(feature = "count-alloc")]
 
 use bpar_core::cell::CellKind;
-use bpar_core::exec::{Executor, ForwardOutput, SequentialExec, TaskGraphExec};
+use bpar_core::exec::{Executor, ForwardOutput, SequentialExec, Target, TaskGraphExec};
 use bpar_core::graphgen::{build_graph, GraphSpec};
 use bpar_core::merge::MergeMode;
 use bpar_core::model::{Brnn, BrnnConfig, ModelKind};
+use bpar_core::optim::Sgd;
 use bpar_core::scanplan::RecurrenceStrategy;
 use bpar_runtime::SchedulerPolicy;
 use bpar_tensor::alloc_track::{allocation_count, bytes_allocated};
@@ -47,20 +52,12 @@ fn config(cell: CellKind, merge: MergeMode, kind: ModelKind) -> BrnnConfig {
 /// One shape's gate: warm the plan, then assert a further replayed batch
 /// performs exactly zero heap allocations.
 ///
-/// When `check_bits` is set the logits must additionally be bit-identical
-/// to the sequential scalar reference — valid for the scalar backend (on
-/// any element type) and for the SIMD backend on `f32`, whose forward
-/// kernels replicate the scalar accumulation order. The int8 backend
-/// carries a quantization tolerance instead (covered by the
-/// `backend_parity` suite), so its gate checks allocations and shape only.
-fn gate<T: Float>(cfg: BrnnConfig, seed: u64, backend: BackendKind, check_bits: bool) {
-    gate_scheduled::<T>(
-        cfg,
-        seed,
-        backend,
-        check_bits,
-        SchedulerPolicy::LocalityAware,
-    );
+/// The logits must additionally be bit-identical to the sequential scalar
+/// reference — valid for the scalar backend (on any element type) and for
+/// the SIMD backend on `f32`, whose forward kernels replicate the scalar
+/// accumulation order.
+fn gate<T: Float>(cfg: BrnnConfig, seed: u64, backend: BackendKind) {
+    gate_scheduled::<T>(cfg, seed, backend, SchedulerPolicy::LocalityAware);
 }
 
 /// The gate under an explicit scheduler policy. Work-stealing keeps its
@@ -72,7 +69,6 @@ fn gate_scheduled<T: Float>(
     cfg: BrnnConfig,
     seed: u64,
     backend: BackendKind,
-    check_bits: bool,
     scheduler: SchedulerPolicy,
 ) {
     let model = Brnn::<T>::new(cfg, seed);
@@ -81,9 +77,7 @@ fn gate_scheduled<T: Float>(
     let mut out = ForwardOutput::zeros_for(&model, 4, cfg.seq_len);
 
     // Warmup: the first call builds and caches the plan (allocating its
-    // arena; the int8 plan also quantizes its weight snapshot and grows
-    // per-task quantization scratch); a few more drain every lazily grown
-    // queue and thread-local.
+    // arena); a few more drain every lazily grown queue and thread-local.
     for _ in 0..5 {
         exec.try_forward_into(&model, &xs, &mut out).unwrap();
     }
@@ -104,9 +98,6 @@ fn gate_scheduled<T: Float>(
     let reference = SequentialExec.forward(&model, &xs);
     assert_eq!(out.logits.shape(), reference.logits.shape());
     assert_eq!(out.seq_logits.len(), reference.seq_logits.len());
-    if !check_bits {
-        return;
-    }
     // Exact `==` equality; finite logits make this equivalent to the bit
     // check the f64-only version of this gate used to perform.
     for (a, b) in out
@@ -170,37 +161,25 @@ fn warm_replayed_inference_batches_allocate_nothing() {
         config(CellKind::Lstm, MergeMode::Concat, ModelKind::ManyToOne),
         3,
         BackendKind::Scalar,
-        true,
     );
     gate::<f64>(
         config(CellKind::Gru, MergeMode::Sum, ModelKind::ManyToMany),
         5,
         BackendKind::Scalar,
-        true,
     );
     gate::<f64>(
         config(CellKind::Vanilla, MergeMode::Avg, ModelKind::ManyToOne),
         7,
         BackendKind::Scalar,
-        true,
     );
 
-    // Non-scalar backends specialize only f32, so their gates run f32
-    // models: the zero-allocation guarantee must hold under every backend
-    // (the SIMD GEMM's blocked tile loop and the int8 path's quantization
-    // scratch both draw from the pooled per-task workspace).
+    // The SIMD backend specializes only f32, so its gates run f32 models:
+    // the zero-allocation guarantee must hold under both backends.
     for cell in [CellKind::Lstm, CellKind::Gru, CellKind::Vanilla] {
         gate::<f32>(
             config(cell, MergeMode::Concat, ModelKind::ManyToMany),
             11,
             BackendKind::Simd,
-            true,
-        );
-        gate::<f32>(
-            config(cell, MergeMode::Concat, ModelKind::ManyToMany),
-            13,
-            BackendKind::Int8,
-            false,
         );
     }
 
@@ -211,14 +190,12 @@ fn warm_replayed_inference_batches_allocate_nothing() {
         config(CellKind::Lstm, MergeMode::Concat, ModelKind::ManyToOne),
         3,
         BackendKind::Scalar,
-        true,
         SchedulerPolicy::WorkStealing,
     );
     gate_scheduled::<f32>(
         config(CellKind::Gru, MergeMode::Sum, ModelKind::ManyToMany),
         11,
         BackendKind::Simd,
-        true,
         SchedulerPolicy::WorkStealing,
     );
 
@@ -241,7 +218,72 @@ fn warm_replayed_inference_batches_allocate_nothing() {
         1e-4,
     );
 
+    for cell in [CellKind::Lstm, CellKind::Gru] {
+        for kind in [ModelKind::ManyToOne, ModelKind::ManyToMany] {
+            train_gate(cell, kind);
+        }
+    }
+
     shape_only_graph_allocates_no_weights_or_inputs();
+}
+
+/// Heap allocations of one warm training step (after five warm-up steps)
+/// of a `seq`-step batch, checking every step's loss against the
+/// sequential reference bit for bit.
+fn warm_train_step_allocs(cfg: BrnnConfig, seed: u64) -> u64 {
+    let model = Brnn::<f64>::new(cfg, seed);
+    let rows = 4;
+    let xs = batch::<f64>(cfg.seq_len, rows, cfg.input_size, seed + 100);
+    let classes = |t: usize| (0..rows).map(|r| (r + t) % cfg.output_size).collect();
+    let target = match cfg.kind {
+        ModelKind::ManyToOne => Target::Classes(classes(0)),
+        ModelKind::ManyToMany => Target::SeqClasses((0..cfg.seq_len).map(classes).collect()),
+    };
+    let exec = TaskGraphExec::new(2);
+    let (mut m_tg, mut m_seq) = (model.clone(), model);
+    let mut opt = Sgd::new(0.05);
+    let mut step = |measure: bool| {
+        let before = allocation_count();
+        let loss = exec.train_batch(&mut m_tg, &xs, &target, &mut opt);
+        let allocs = allocation_count() - before;
+        let want = SequentialExec.train_batch(&mut m_seq, &xs, &target, &mut Sgd::new(0.05));
+        assert_eq!(
+            loss.to_bits(),
+            want.to_bits(),
+            "training loss diverges from sequential"
+        );
+        if measure {
+            allocs
+        } else {
+            0
+        }
+    };
+    for _ in 0..5 {
+        step(false);
+    }
+    step(true)
+}
+
+/// The training gate: a warm step's allocation count must not grow with
+/// the sequence length — every per-timestep slot (states, caches, merge
+/// outputs, logits, `dh`, state and input gradients) is overwritten in
+/// place. What remains is the per-step constant.
+fn train_gate(cell: CellKind, kind: ModelKind) {
+    let counts: Vec<(usize, u64)> = [6, 12, 24]
+        .into_iter()
+        .map(|seq_len| {
+            let cfg = BrnnConfig {
+                seq_len,
+                ..config(cell, MergeMode::Sum, kind)
+            };
+            (seq_len, warm_train_step_allocs(cfg, 23))
+        })
+        .collect();
+    eprintln!("warm training step allocations ({cell:?}/{kind:?}): {counts:?}");
+    assert!(
+        counts.iter().all(|&(_, n)| n == counts[0].1),
+        "warm training-step allocations grow with seq_len for {cell:?}/{kind:?}: {counts:?}"
+    );
 }
 
 /// The simulator's graphs come from the executors' own builder, over

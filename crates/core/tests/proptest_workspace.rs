@@ -1,9 +1,13 @@
-//! Property tests for the workspace-arena refactor: every `_ws` / `_into`
-//! kernel variant must be **bit-identical** to the allocating API it
-//! replaced, across cell kinds × shapes × merge modes × train/inference —
-//! including when one [`Workspace`] is reused across interleaved shapes,
-//! which is exactly how the compiled task graph uses it (each task keeps a
-//! private workspace across replays of *different* cached plans).
+//! Property tests for the in-place kernel API: every `_ws` / `_into`
+//! kernel must be **bit-identical** whether it writes into freshly
+//! allocated buffers with a fresh [`Workspace`] — the reference form
+//! `SequentialExec` uses (the "legacy" side below: what the allocating
+//! wrappers that used to exist computed) — or into buffers still holding
+//! stale values, drawing scratch from one [`Workspace`] reused across
+//! interleaved shapes, which is exactly how the compiled task graph uses
+//! them (each task keeps its slot buffers and a private workspace across
+//! replays of *different* cached plans). Covered across cell kinds ×
+//! shapes × merge modes × train/inference.
 //!
 //! "Close enough" is not the bar: the executor equivalence guarantees of
 //! this repo are stated as exact bit equality with `SequentialExec`, so
@@ -43,7 +47,22 @@ fn merge_modes() -> impl Strategy<Value = MergeMode> {
     ]
 }
 
-/// A realistic non-zero state: one legacy forward step from zeros.
+/// Cell forward into fresh buffers with a fresh workspace.
+fn fresh_forward(
+    p: &CellParams<f64>,
+    x: &Matrix<f64>,
+    prev: &CellState<f64>,
+    hidden: usize,
+) -> (CellState<f64>, CellCache<f64>) {
+    let (kind, batch) = (p.kind(), x.rows());
+    let mut st = CellState::zeros(kind, batch, hidden);
+    let mut cache = CellCache::zeros(kind, batch, x.cols(), hidden);
+    let ws = &mut Workspace::new();
+    p.forward_ws(x, prev, &mut st, &mut cache, ws, Backend::scalar());
+    (st, cache)
+}
+
+/// A realistic non-zero state: one forward step from zeros.
 fn warm_state(
     p: &CellParams<f64>,
     kind: CellKind,
@@ -53,13 +72,13 @@ fn warm_state(
     seed: u64,
 ) -> CellState<f64> {
     let x = init::uniform(batch, input, -1.0, 1.0, seed);
-    let (st, _) = p.forward(&x, &CellState::zeros(kind, batch, hidden));
-    st
+    fresh_forward(p, &x, &CellState::zeros(kind, batch, hidden), hidden).0
 }
 
-/// One full forward+backward comparison of the legacy and workspace cell
-/// paths for a single shape, drawing all `_ws` scratch from `ws` (which
-/// deliberately persists across calls with other shapes).
+/// One full forward+backward comparison of the fresh-buffer and reused
+/// stale-buffer cell paths for a single shape, drawing the reused path's
+/// scratch from `ws` (which deliberately persists across calls with other
+/// shapes).
 fn check_cell_shape(
     kind: CellKind,
     batch: usize,
@@ -72,10 +91,19 @@ fn check_cell_shape(
     let prev = warm_state(&p, kind, batch, input, hidden, seed + 1);
     let x = init::uniform(batch, input, -1.0, 1.0, seed + 2);
 
-    // Forward: allocating vs. in-place into zeroed persistent buffers.
-    let (st_ref, cache_ref) = p.forward(&x, &prev);
+    // Forward: fresh buffers vs. buffers left stale by an unrelated call.
+    let (st_ref, cache_ref) = fresh_forward(&p, &x, &prev, hidden);
     let mut st = CellState::zeros(kind, batch, hidden);
     let mut cache = CellCache::zeros(kind, batch, input, hidden);
+    let x_stale = init::uniform(batch, input, -1.0, 1.0, seed + 6);
+    p.forward_ws(
+        &x_stale,
+        &st_ref,
+        &mut st,
+        &mut cache,
+        ws,
+        Backend::scalar(),
+    );
     p.forward_ws(&x, &prev, &mut st, &mut cache, ws, Backend::scalar());
     assert_bits(&st_ref.h, &st.h, "state h");
     match (&st_ref.c, &st.c) {
@@ -98,10 +126,25 @@ fn check_cell_shape(
         Some(sg)
     };
     let mut grads_ref = p.zeros_like();
-    let (dx_ref, dprev_ref) = p.backward(&cache_ref, &dh, dstate.as_ref(), &mut grads_ref);
+    let mut dx_ref = Matrix::zeros(batch, input);
+    let mut dprev_ref = StateGrad::zeros(kind, batch, hidden);
+    p.backward_ws(
+        &cache_ref,
+        &dh,
+        dstate.as_ref(),
+        &mut grads_ref,
+        &mut dx_ref,
+        &mut dprev_ref,
+        &mut Workspace::new(),
+        Backend::scalar(),
+    );
     let mut grads = p.zeros_like();
-    let mut dx = Matrix::zeros(batch, input);
-    let mut dprev = StateGrad::zeros(kind, batch, hidden);
+    let stale = |s: u64| init::uniform(batch, hidden, 5.0, 9.0, seed + s);
+    let mut dx = init::uniform(batch, input, 5.0, 9.0, seed + 7);
+    let mut dprev = StateGrad {
+        dh: stale(8),
+        dc: (kind == CellKind::Lstm).then(|| stale(9)),
+    };
     p.backward_ws(
         &cache,
         &dh,
@@ -125,10 +168,10 @@ fn check_cell_shape(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Cell forward/backward `_ws` variants are bit-identical to the
-    /// allocating API — and stay so when one workspace serves two
-    /// interleaved shapes (the second call sees pooled scratch whose
-    /// previous shape was different).
+    /// Cell forward/backward `_ws` kernels writing over stale buffers are
+    /// bit-identical to fresh-buffer calls — and stay so when one
+    /// workspace serves two interleaved shapes (the second call sees
+    /// pooled scratch whose previous shape was different).
     #[test]
     fn cell_ws_matches_legacy_across_interleaved_shapes(
         kind in cell_kinds(),
@@ -143,9 +186,9 @@ proptest! {
         check_cell_shape(kind, b1, i1, h1, seed + 200, &mut ws);
     }
 
-    /// Merge `apply_into` / `backward_into` are bit-identical to the
-    /// allocating wrappers for every mode, even when the output buffer
-    /// starts full of stale garbage.
+    /// Merge `apply_into` / `backward_into` give the same bits into a
+    /// buffer full of stale garbage as into a fresh zeroed one, for every
+    /// mode.
     #[test]
     fn merge_into_matches_legacy(
         mode in merge_modes(),
@@ -154,13 +197,15 @@ proptest! {
     ) {
         let fwd = init::uniform::<f64>(rows, hidden, -1.0, 1.0, seed);
         let rev = init::uniform(rows, hidden, -1.0, 1.0, seed + 1);
-        let merged_ref = mode.apply(&fwd, &rev);
+        let mut merged_ref = Matrix::zeros(rows, mode.output_width(hidden));
+        mode.apply_into(&fwd, &rev, &mut merged_ref);
         let mut merged = init::uniform(rows, mode.output_width(hidden), 5.0, 9.0, seed + 2);
         mode.apply_into(&fwd, &rev, &mut merged);
         assert_bits(&merged_ref, &merged, "merged");
 
         let dmerged = init::uniform(rows, mode.output_width(hidden), -1.0, 1.0, seed + 3);
-        let (dfwd_ref, drev_ref) = mode.backward(&dmerged, &fwd, &rev);
+        let (mut dfwd_ref, mut drev_ref) = (Matrix::zeros(rows, hidden), Matrix::zeros(rows, hidden));
+        mode.backward_into(&dmerged, &fwd, &rev, &mut dfwd_ref, &mut drev_ref);
         let mut dfwd = init::uniform(rows, hidden, 5.0, 9.0, seed + 4);
         let mut drev = init::uniform(rows, hidden, 5.0, 9.0, seed + 5);
         mode.backward_into(&dmerged, &fwd, &rev, &mut dfwd, &mut drev);
@@ -168,8 +213,9 @@ proptest! {
         assert_bits(&drev_ref, &drev, "drev");
     }
 
-    /// Dense forward/backward into-variants are bit-identical, with the
-    /// workspace reused across two different widths.
+    /// Dense forward/backward into stale buffers, with the workspace
+    /// reused across two different widths, match fresh-buffer calls bit
+    /// for bit.
     #[test]
     fn dense_into_matches_legacy(
         rows in 1usize..6, input in 1usize..6, out1 in 1usize..6, out2 in 1usize..6,
@@ -180,16 +226,19 @@ proptest! {
             let s = seed + 10 * k as u64;
             let p = DenseParams::<f64>::init(input, out_w, s);
             let x = init::uniform(rows, input, -1.0, 1.0, s + 1);
-            let logits_ref = p.forward(&x);
+            let mut logits_ref = Matrix::zeros(rows, out_w);
+            p.forward_into(&x, &mut logits_ref, Backend::scalar());
             let mut logits = init::uniform(rows, out_w, 5.0, 9.0, s + 2);
-            p.forward_into(&x, &mut logits, &mut ws, Backend::scalar());
+            p.forward_into(&x, &mut logits, Backend::scalar());
             assert_bits(&logits_ref, &logits, "logits");
 
             let dlogits = init::uniform(rows, out_w, -1.0, 1.0, s + 3);
             let mut grads_ref = p.zeros_like();
-            let dx_ref = p.backward(&x, &dlogits, &mut grads_ref);
+            let mut dx_ref = Matrix::zeros(rows, input);
+            let fresh = &mut Workspace::new();
+            p.backward_ws(&x, &dlogits, &mut grads_ref, &mut dx_ref, fresh, Backend::scalar());
             let mut grads = p.zeros_like();
-            let mut dx = Matrix::zeros(rows, input);
+            let mut dx = init::uniform(rows, input, 5.0, 9.0, s + 4);
             p.backward_ws(&x, &dlogits, &mut grads, &mut dx, &mut ws, Backend::scalar());
             assert_bits(&dx_ref, &dx, "dense dx");
             assert_bits(&grads_ref.w, &grads.w, "dense dW");
@@ -221,8 +270,8 @@ proptest! {
 
     /// End to end: the workspace-arena executor (warm *and* cold plans)
     /// produces bit-identical inference logits and training losses to the
-    /// fully allocating sequential reference, across cell kinds, merge
-    /// modes, model kinds and shapes.
+    /// fresh-buffer sequential reference, across cell kinds, merge modes,
+    /// model kinds and shapes.
     #[test]
     fn taskgraph_matches_sequential_bitwise(
         kind in cell_kinds(),

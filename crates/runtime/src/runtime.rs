@@ -315,6 +315,7 @@ impl Runtime {
         inner.records.clear();
         inner.overhead = Duration::ZERO;
         inner.tasks.reserve(plan.tasks.len());
+        inner.ready.reserve(plan.tasks.len());
         for (i, t) in plan.tasks.iter().enumerate() {
             inner.tasks.push(TaskMeta {
                 label: t.label,

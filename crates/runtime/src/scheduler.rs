@@ -165,6 +165,12 @@ impl DequeSet {
         }
     }
 
+    fn reserve(&mut self, tasks: usize) {
+        for q in self.local.iter_mut().chain([&mut self.injector]) {
+            q.reserve(tasks.saturating_sub(q.len()));
+        }
+    }
+
     fn push(&mut self, task: usize, preferred: Option<usize>) {
         match preferred {
             Some(w) if w < self.local.len() => self.local[w].push_back(task),
@@ -342,6 +348,16 @@ impl ReadySet {
     /// The active policy.
     pub fn policy(&self) -> SchedulerPolicy {
         self.policy
+    }
+
+    /// Grows every queue to hold `tasks` entries, so an epoch of at most
+    /// `tasks` tasks never reallocates one — however many of them a given
+    /// schedule happens to make ready at once.
+    pub fn reserve(&mut self, tasks: usize) {
+        match &mut self.queues {
+            Queues::Global(q) => q.reserve(tasks.saturating_sub(q.len())),
+            Queues::Deques(d) => d.reserve(tasks),
+        }
     }
 
     /// Enqueues a ready task. `preferred` is the worker that completed the

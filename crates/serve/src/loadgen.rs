@@ -66,13 +66,16 @@ pub struct ClosedLoopConfig {
     pub fault: Option<FaultConfig>,
 }
 
+/// Request `id` of the workload, stamped as arriving at `arrival`.
 fn make_request<T: Float>(
     data: &TidigitsDataset,
     id: u64,
     deadline: Option<Duration>,
+    arrival: Instant,
 ) -> InferRequest<T> {
     let utt = data.utterance::<T>(id);
     let mut req = InferRequest::new(id, utt.frames);
+    req.arrival = arrival;
     req.deadline = deadline;
     req
 }
@@ -160,7 +163,10 @@ pub fn run_open_loop<T: Float>(
             if let Some(wait) = next.checked_duration_since(Instant::now()) {
                 std::thread::sleep(wait);
             }
-            let req = make_request::<T>(&data, id, gen.deadline);
+            // Stamp the scheduled instant, not the send time: when the
+            // generator runs late (oversleep, utterance synthesis), that
+            // delay is the request's wait too and belongs in its latency.
+            let req = make_request::<T>(&data, id, gen.deadline, next);
             admission_outcomes(producer_queue.push(req), &mut outcomes);
         }
         producer_queue.close();
@@ -197,7 +203,7 @@ pub fn run_closed_loop<T: Float>(
     let producer = std::thread::spawn(move || {
         let mut outcomes = Vec::new();
         for id in 0..gen.requests {
-            let req = make_request::<T>(&data, id, gen.deadline);
+            let req = make_request::<T>(&data, id, gen.deadline, Instant::now());
             admission_outcomes(producer_queue.push(req), &mut outcomes);
         }
         producer_queue.close();
@@ -232,6 +238,26 @@ mod tests {
             },
             11,
         )
+    }
+
+    /// A late generator still stamps the scheduled instant: a request
+    /// built for a due time already in the past carries exactly that
+    /// instant, and its deadline budget counts from it.
+    #[test]
+    fn late_requests_carry_their_scheduled_arrival() {
+        let data = TidigitsDataset::new(4, 6, 3);
+        let due = Instant::now()
+            .checked_sub(Duration::from_millis(50))
+            .expect("clock past 50 ms");
+        let budget = Duration::from_millis(40);
+        let req = make_request::<f32>(&data, 7, Some(budget), due);
+        assert_eq!(req.arrival, due);
+        assert!(!req.expired(due + budget - Duration::from_nanos(1)));
+        assert!(req.expired(due + budget));
+        assert!(
+            req.expired(Instant::now()),
+            "50 ms late exceeds a 40 ms budget"
+        );
     }
 
     #[test]

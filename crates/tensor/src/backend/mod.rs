@@ -3,14 +3,12 @@
 //! The scalar kernels in [`crate::gemm`], [`crate::ops`] and
 //! [`crate::activation`] are the *reference oracle*; this module lets hot
 //! callers dispatch the same operations through a [`KernelBackend`] trait
-//! with three implementations:
+//! with two implementations:
 //!
 //! * [`ScalarBackend`] — the reference kernels, verbatim,
 //! * [`SimdBackend`] — `std::arch` AVX2+FMA (x86-64) / NEON (aarch64)
 //!   vector kernels behind runtime feature detection, falling back to the
-//!   scalar kernels when the ISA is absent,
-//! * [`Int8Backend`] — a symmetric per-tensor int8 quantized inference
-//!   GEMM (everything else delegates to the SIMD backend).
+//!   scalar kernels when the ISA is absent.
 //!
 //! Numerical contract (property-tested in `tests/backend_parity.rs`):
 //!
@@ -23,19 +21,14 @@
 //!   of `~k · ε` instead of bit-identity.
 //! * Transcendentals (sigmoid/tanh/softmax) use the scalar implementations
 //!   in **every** backend, so activations never diverge.
-//! * The int8 GEMM carries the quantization error bound computed by
-//!   [`int8_bound`]; its backward kernels (`gemm_nt`/`gemm_tn`) stay in
-//!   f32.
 //!
 //! `f64` matrices always take the scalar reference path regardless of the
 //! selected backend ([`crate::Float::as_f32_slice`] declines the downcast),
 //! which is what keeps `f64` gradient-check tests exact.
 
-mod quant;
 mod scalar;
 mod simd;
 
-pub use quant::{int8_bound, roundtrip_quantize, Int8Backend};
 pub use scalar::ScalarBackend;
 pub use simd::SimdBackend;
 
@@ -44,7 +37,6 @@ use crate::gemm as gemm_mod;
 use crate::matrix::Matrix;
 use crate::ops;
 use crate::scalar::Float;
-use crate::workspace::{QuantScratch, Workspace};
 
 /// Which kernel backend a component should use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -54,17 +46,14 @@ pub enum BackendKind {
     Scalar,
     /// Runtime-detected AVX2/NEON vector kernels with scalar fallback.
     Simd,
-    /// Int8 per-tensor quantized inference GEMM over the SIMD backend.
-    Int8,
 }
 
 impl BackendKind {
-    /// Parses a CLI spelling (`scalar|simd|int8`).
+    /// Parses a CLI spelling (`scalar|simd`).
     pub fn parse(s: &str) -> Option<BackendKind> {
         match s {
             "scalar" => Some(BackendKind::Scalar),
             "simd" => Some(BackendKind::Simd),
-            "int8" => Some(BackendKind::Int8),
             _ => None,
         }
     }
@@ -74,13 +63,12 @@ impl BackendKind {
         match self {
             BackendKind::Scalar => "scalar",
             BackendKind::Simd => "simd",
-            BackendKind::Int8 => "int8",
         }
     }
 
     /// All selectable kinds, in CLI order.
-    pub fn all() -> [BackendKind; 3] {
-        [BackendKind::Scalar, BackendKind::Simd, BackendKind::Int8]
+    pub fn all() -> [BackendKind; 2] {
+        [BackendKind::Scalar, BackendKind::Simd]
     }
 }
 
@@ -108,9 +96,6 @@ pub trait KernelBackend: Sync + std::fmt::Debug {
     }
 
     /// `C += alpha * A * B` (`A: m×k`, `B: k×n`, `C: m×n`, row-major).
-    ///
-    /// `q` is the caller's grow-only quantization scratch; only the int8
-    /// backend touches it.
     #[allow(clippy::too_many_arguments)]
     fn gemm_f32(
         &self,
@@ -121,7 +106,6 @@ pub trait KernelBackend: Sync + std::fmt::Debug {
         m: usize,
         k: usize,
         n: usize,
-        q: &mut QuantScratch,
     );
 
     /// `C += alpha * A * Bᵀ` (`A: m×k`, `B: n×k`, `C: m×n`).
@@ -241,7 +225,6 @@ pub trait KernelBackend: Sync + std::fmt::Debug {
 
 static SCALAR_BACKEND: ScalarBackend = ScalarBackend;
 static SIMD_BACKEND: SimdBackend = SimdBackend;
-static INT8_BACKEND: Int8Backend = Int8Backend;
 
 /// A cheap, copyable handle to a [`KernelBackend`].
 ///
@@ -276,17 +259,11 @@ impl Backend {
         Backend(&SIMD_BACKEND)
     }
 
-    /// The int8 quantized inference backend.
-    pub fn int8() -> Backend {
-        Backend(&INT8_BACKEND)
-    }
-
     /// Handle for a [`BackendKind`].
     pub fn of(kind: BackendKind) -> Backend {
         match kind {
             BackendKind::Scalar => Backend::scalar(),
             BackendKind::Simd => Backend::simd(),
-            BackendKind::Int8 => Backend::int8(),
         }
     }
 
@@ -300,10 +277,8 @@ impl Backend {
         self.0.simd_active()
     }
 
-    /// `C = alpha * A * B + beta * C` through the backend.
-    ///
-    /// `ws` supplies the int8 backend's quantization scratch; the other
-    /// backends never touch it. Same shape contract as [`crate::gemm`].
+    /// `C = alpha * A * B + beta * C` through the backend. Same shape
+    /// contract as [`crate::gemm`].
     pub fn gemm<T: Float>(
         self,
         alpha: T,
@@ -311,7 +286,6 @@ impl Backend {
         b: &Matrix<T>,
         beta: T,
         c: &mut Matrix<T>,
-        ws: &mut Workspace<T>,
     ) {
         let (m, k) = a.shape();
         let (kb, n) = b.shape();
@@ -324,8 +298,7 @@ impl Backend {
         if let (Some(af), Some(bf)) = (T::as_f32_slice(a.as_slice()), T::as_f32_slice(b.as_slice()))
         {
             let cf = T::as_f32_slice_mut(c.as_mut_slice()).expect("same scalar type");
-            self.0
-                .gemm_f32(alpha.to_f32(), af, bf, cf, m, k, n, ws.quant_scratch());
+            self.0.gemm_f32(alpha.to_f32(), af, bf, cf, m, k, n);
         } else {
             gemm_mod::gemm_accum(alpha, a.as_slice(), b.as_slice(), c.as_mut_slice(), m, k, n);
         }
@@ -576,7 +549,8 @@ mod tests {
         }
         assert_eq!(BackendKind::parse("mkl"), None);
         assert_eq!(Backend::default().kind(), BackendKind::Scalar);
-        assert_eq!(format!("{}", BackendKind::Int8), "int8");
+        assert_eq!(BackendKind::parse("int8"), None);
+        assert_eq!(format!("{}", BackendKind::Simd), "simd");
     }
 
     #[test]
@@ -584,7 +558,7 @@ mod tests {
         let a = Backend::simd();
         let b = a; // Copy
         assert_eq!(a, b);
-        assert_ne!(Backend::scalar(), Backend::int8());
+        assert_ne!(Backend::scalar(), Backend::simd());
     }
 
     #[test]
@@ -595,9 +569,9 @@ mod tests {
         let b = Matrix::from_fn(7, 4, |r, c| (r * 4 + c) as f64 * 0.125 - 1.0);
         let mut want = Matrix::zeros(5, 4);
         crate::gemm(1.0, &a, &b, 0.0, &mut want);
-        for be in [Backend::scalar(), Backend::simd(), Backend::int8()] {
+        for be in [Backend::scalar(), Backend::simd()] {
             let mut got = Matrix::zeros(5, 4);
-            be.gemm(1.0, &a, &b, 0.0, &mut got, &mut Workspace::new());
+            be.gemm(1.0, &a, &b, 0.0, &mut got);
             for (x, y) in got.as_slice().iter().zip(want.as_slice()) {
                 assert_eq!(x.to_bits(), y.to_bits(), "{:?} diverged on f64", be.kind());
             }
@@ -611,7 +585,7 @@ mod tests {
         let mut want = Matrix::from_fn(9, 6, |r, c| (r + c) as f32 * 0.5);
         let mut got = want.clone();
         crate::gemm(1.25f32, &a, &b, 0.75, &mut want);
-        Backend::scalar().gemm(1.25f32, &a, &b, 0.75, &mut got, &mut Workspace::new());
+        Backend::scalar().gemm(1.25f32, &a, &b, 0.75, &mut got);
         for (x, y) in got.as_slice().iter().zip(want.as_slice()) {
             assert_eq!(x.to_bits(), y.to_bits());
         }

@@ -3,13 +3,12 @@
 //! Every method forwards to the exact slice-level kernels the free
 //! functions in [`crate::gemm`] and [`crate::ops`] use, so dispatching
 //! through [`super::Backend::scalar`] is bit-identical to calling those
-//! functions directly. This backend is the oracle the SIMD and int8
-//! implementations are property-tested against.
+//! functions directly. This backend is the oracle the SIMD backend is
+//! property-tested against.
 
 use super::{BackendKind, KernelBackend};
 use crate::gemm::{gemm_accum, gemm_nt_accum, gemm_tn_accum};
 use crate::ops;
-use crate::workspace::QuantScratch;
 
 /// Reference kernels; always available, always the parity oracle.
 #[derive(Debug)]
@@ -29,7 +28,6 @@ impl KernelBackend for ScalarBackend {
         m: usize,
         k: usize,
         n: usize,
-        _q: &mut QuantScratch,
     ) {
         gemm_accum(alpha, a, b, c, m, k, n);
     }

@@ -22,7 +22,6 @@
 use super::{BackendKind, KernelBackend};
 use crate::gemm::{gemm_accum, gemm_nt_accum, gemm_tn_accum};
 use crate::ops;
-use crate::workspace::QuantScratch;
 
 /// Vector kernels behind runtime feature detection, scalar fallback.
 #[derive(Debug)]
@@ -59,7 +58,6 @@ impl KernelBackend for SimdBackend {
         m: usize,
         k: usize,
         n: usize,
-        _q: &mut QuantScratch,
     ) {
         #[cfg(target_arch = "x86_64")]
         if x86::detect() {

@@ -13,8 +13,8 @@
 //! (`batch × (input+hidden)` times `(input+hidden) × 4·hidden`). A naive
 //! triple loop ([`gemm_naive`]) is kept as the oracle for tests.
 //!
-//! These functions are also the **reference oracle** for the vectorized and
-//! quantized implementations in [`crate::backend`]: the SIMD backend
+//! These functions are also the **reference oracle** for the vectorized
+//! implementation in [`crate::backend`]: the SIMD backend
 //! reproduces the exact per-element operation order of the `_accum` loops
 //! here (same fused multiply-adds, ascending `p`, one accumulator flush per
 //! `KC` block), which is what makes scalar/SIMD bit-identity testable.

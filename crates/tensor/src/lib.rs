@@ -12,9 +12,8 @@
 //!   broadcast, reductions),
 //! * [`activation`] — sigmoid/tanh/softmax and their derivatives,
 //! * [`init`] — deterministic, seedable weight initialisation,
-//! * [`backend`] — pluggable kernel backends: the scalar reference oracle,
-//!   runtime-detected AVX2/NEON vector kernels, and a symmetric per-tensor
-//!   int8 quantized inference GEMM.
+//! * [`backend`] — pluggable kernel backends: the scalar reference oracle
+//!   and runtime-detected AVX2/NEON vector kernels.
 //!
 //! All kernels are sequential by design: in the B-Par execution model,
 //! parallelism comes from running many *tasks* (cell updates) concurrently,
@@ -38,11 +37,8 @@ pub mod scalar;
 pub mod workspace;
 
 pub use alloc_track::CountingAlloc;
-pub use backend::{
-    int8_bound, roundtrip_quantize, Backend, BackendKind, Int8Backend, KernelBackend,
-    ScalarBackend, SimdBackend,
-};
+pub use backend::{Backend, BackendKind, KernelBackend, ScalarBackend, SimdBackend};
 pub use gemm::{gemm, gemm_naive, gemm_nt, gemm_tn};
 pub use matrix::Matrix;
 pub use scalar::Float;
-pub use workspace::{QuantScratch, Workspace, WorkspaceStats};
+pub use workspace::{Workspace, WorkspaceStats};

@@ -28,51 +28,6 @@ pub struct WorkspaceStats {
     pub cold_allocs: u64,
 }
 
-/// Grow-only integer scratch used by the int8 kernel backend: quantized
-/// copies of the GEMM operands plus one row of `i32` accumulators.
-///
-/// It lives inside the [`Workspace`] so the per-task warm-up replay that
-/// already warms the matrix pool also warms the quantization buffers —
-/// after the first call at a given shape, the int8 path performs zero heap
-/// allocations (the buffers only ever grow, never shrink).
-#[derive(Debug, Default)]
-pub struct QuantScratch {
-    qa: Vec<i8>,
-    qb: Vec<i8>,
-    acc: Vec<i32>,
-}
-
-impl QuantScratch {
-    /// Borrows quantization buffers of at least the requested sizes,
-    /// growing them if this shape has never been seen (cold path).
-    pub fn ensure(
-        &mut self,
-        a_len: usize,
-        b_len: usize,
-        acc_len: usize,
-    ) -> (&mut [i8], &mut [i8], &mut [i32]) {
-        if self.qa.len() < a_len {
-            self.qa.resize(a_len, 0);
-        }
-        if self.qb.len() < b_len {
-            self.qb.resize(b_len, 0);
-        }
-        if self.acc.len() < acc_len {
-            self.acc.resize(acc_len, 0);
-        }
-        (
-            &mut self.qa[..a_len],
-            &mut self.qb[..b_len],
-            &mut self.acc[..acc_len],
-        )
-    }
-
-    /// Bytes of backing storage currently held.
-    pub fn bytes(&self) -> usize {
-        self.qa.capacity() + self.qb.capacity() + 4 * self.acc.capacity()
-    }
-}
-
 /// A shape-keyed pool of reusable [`Matrix`] buffers.
 ///
 /// ```
@@ -87,7 +42,6 @@ impl QuantScratch {
 #[derive(Debug, Default)]
 pub struct Workspace<T: Float = f32> {
     pool: HashMap<(usize, usize), Vec<Matrix<T>>>,
-    quant: QuantScratch,
     stats: WorkspaceStats,
 }
 
@@ -96,14 +50,8 @@ impl<T: Float> Workspace<T> {
     pub fn new() -> Self {
         Self {
             pool: HashMap::new(),
-            quant: QuantScratch::default(),
             stats: WorkspaceStats::default(),
         }
-    }
-
-    /// The int8 backend's grow-only quantization scratch.
-    pub fn quant_scratch(&mut self) -> &mut QuantScratch {
-        &mut self.quant
     }
 
     /// Checks a `rows × cols` buffer out of the pool.
@@ -211,23 +159,6 @@ mod tests {
         }
         assert_eq!(ws.stats().cold_allocs, 3);
         assert_eq!(ws.stats().reuses, 45);
-    }
-
-    #[test]
-    fn quant_scratch_grows_once_per_shape() {
-        let mut ws: Workspace<f32> = Workspace::new();
-        assert_eq!(ws.quant_scratch().bytes(), 0);
-        {
-            let (qa, qb, acc) = ws.quant_scratch().ensure(6, 8, 4);
-            assert_eq!((qa.len(), qb.len(), acc.len()), (6, 8, 4));
-            qa[5] = 7;
-        }
-        let grown = ws.quant_scratch().bytes();
-        assert!(grown >= 6 + 8 + 16);
-        // Re-ensuring the same (or smaller) sizes never grows the buffers.
-        let _ = ws.quant_scratch().ensure(6, 8, 4);
-        let _ = ws.quant_scratch().ensure(3, 2, 1);
-        assert_eq!(ws.quant_scratch().bytes(), grown);
     }
 
     #[test]
